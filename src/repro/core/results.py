@@ -33,6 +33,12 @@ TIMEOUT_STATUSES = ("UNKNOWN", "TIMEOUT")
 #: cached by the runner, since a rerun under a higher ceiling may succeed.
 RESOURCE_STATUSES = ("MEMOUT",)
 
+#: Statuses never written to a result cache (the runner's store or the
+#: server's memo): ERROR runs are retried on resubmission, resource trips may
+#: pass under a higher ceiling (the limit is not part of the fingerprint),
+#: and CANCELLED runs never finished.
+UNCACHED_STATUSES = ("ERROR",) + RESOURCE_STATUSES + ("CANCELLED",)
+
 
 @dataclass
 class InstanceRun:

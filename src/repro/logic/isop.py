@@ -18,8 +18,11 @@ from dataclasses import dataclass
 
 from repro.errors import TruthTableError
 from repro.logic.truthtable import (
+    _MASKS,
     TruthTable,
-    tt_cofactor,
+    _cofactor,
+    _depends,
+    _selectors,
     tt_mask,
     tt_not,
     tt_var,
@@ -54,12 +57,10 @@ class Cube:
         """Return ``(variable, negated)`` pairs for every literal in the cube."""
         result = []
         mask = self.pos_mask | self.neg_mask
-        var = 0
         while mask:
-            if mask & 1:
-                result.append((var, bool((self.neg_mask >> var) & 1)))
-            mask >>= 1
-            var += 1
+            low = mask & -mask
+            result.append((low.bit_length() - 1, bool(self.neg_mask & low)))
+            mask ^= low
         return result
 
     def contains_minterm(self, minterm: int) -> bool:
@@ -117,7 +118,7 @@ def _isop_rec(lower: TruthTable, upper: TruthTable, top_var: int,
     split variable is always the highest-indexed one that the bounds depend
     on, which keeps the recursion depth bounded by ``nvars``.
     """
-    mask = tt_mask(nvars)
+    mask = _MASKS[nvars]
     if lower == 0:
         return 0, []
     if upper == mask:
@@ -127,8 +128,7 @@ def _isop_rec(lower: TruthTable, upper: TruthTable, top_var: int,
     # depends.  Both bounds constant would have been caught above.
     split = -1
     for var in range(top_var - 1, -1, -1):
-        if (tt_cofactor(lower, var, 0, nvars) != tt_cofactor(lower, var, 1, nvars)
-                or tt_cofactor(upper, var, 0, nvars) != tt_cofactor(upper, var, 1, nvars)):
+        if _depends(lower, var, nvars) or _depends(upper, var, nvars):
             split = var
             break
     if split < 0:
@@ -136,18 +136,18 @@ def _isop_rec(lower: TruthTable, upper: TruthTable, top_var: int,
         # cannot both hold for constants, so lower must be 0 here.
         return 0, []
 
-    lower0 = tt_cofactor(lower, split, 0, nvars)
-    lower1 = tt_cofactor(lower, split, 1, nvars)
-    upper0 = tt_cofactor(upper, split, 0, nvars)
-    upper1 = tt_cofactor(upper, split, 1, nvars)
+    lower0 = _cofactor(lower, split, 0, nvars)
+    lower1 = _cofactor(lower, split, 1, nvars)
+    upper0 = _cofactor(upper, split, 0, nvars)
+    upper1 = _cofactor(upper, split, 1, nvars)
 
     # Cubes that must contain the negative literal of `split`.
-    cover0, cubes0 = _isop_rec(lower0 & tt_not(upper1, nvars), upper0, split, nvars)
+    cover0, cubes0 = _isop_rec(lower0 & ~upper1 & mask, upper0, split, nvars)
     # Cubes that must contain the positive literal of `split`.
-    cover1, cubes1 = _isop_rec(lower1 & tt_not(upper0, nvars), upper1, split, nvars)
+    cover1, cubes1 = _isop_rec(lower1 & ~upper0 & mask, upper1, split, nvars)
 
     # Remaining minterms handled by cubes independent of `split`.
-    rest_lower = (lower0 & tt_not(cover0, nvars)) | (lower1 & tt_not(cover1, nvars))
+    rest_lower = (lower0 & ~cover0 & mask) | (lower1 & ~cover1 & mask)
     cover2, cubes2 = _isop_rec(rest_lower, upper0 & upper1, split, nvars)
 
     var_bit = 1 << split
@@ -158,8 +158,6 @@ def _isop_rec(lower: TruthTable, upper: TruthTable, top_var: int,
         result_cubes.append(Cube(cube.pos_mask | var_bit, cube.neg_mask))
     result_cubes.extend(cubes2)
 
-    var_table = tt_var(split, nvars)
-    cover = ((cover0 & tt_not(var_table, nvars))
-             | (cover1 & var_table)
-             | cover2) & mask
+    ones, zeros = _selectors(nvars)
+    cover = (cover0 & zeros[split]) | (cover1 & ones[split]) | cover2
     return cover, result_cubes

@@ -109,30 +109,26 @@ def factor_sop(sop: Sop) -> FactoredNode:
     return _factor_cubes(sop.cubes, sop.nvars)
 
 
-def _literal_key(var: int, negated: bool) -> int:
-    """Encode a literal as an integer key (2*var + negated)."""
-    return var * 2 + (1 if negated else 0)
-
-
-def _cube_literal_keys(cube: Cube) -> set[int]:
-    return {_literal_key(var, neg) for var, neg in cube.literals()}
-
-
-def _most_common_literal(cubes: list[Cube]) -> int | None:
+def _most_common_literal(cubes: list[Cube], nvars: int) -> int | None:
     """Return the literal key appearing in the most cubes (ties broken by key).
 
-    Only literals appearing in at least two cubes are useful divisors.
+    A literal's key is ``2*var + negated``; counts are read off each cube's
+    ``pos_mask``/``neg_mask`` bits.  Only literals appearing in at least two
+    cubes are useful divisors.
     """
-    counts: dict[int, int] = {}
+    counts = [0] * (2 * nvars)
     for cube in cubes:
-        for key in _cube_literal_keys(cube):
-            counts[key] = counts.get(key, 0) + 1
+        for mask, negated in ((cube.pos_mask, 0), (cube.neg_mask, 1)):
+            while mask:
+                low = mask & -mask
+                counts[2 * low.bit_length() - 2 + negated] += 1
+                mask ^= low
     best_key = None
     best_count = 1
-    for key in sorted(counts):
-        if counts[key] > best_count:
+    for key, count in enumerate(counts):
+        if count > best_count:
             best_key = key
-            best_count = counts[key]
+            best_count = count
     return best_key
 
 
@@ -155,16 +151,17 @@ def _factor_cubes(cubes: list[Cube], nvars: int) -> FactoredNode:
     if len(cubes) == 1:
         return _cube_to_node(cubes[0])
 
-    divisor_key = _most_common_literal(cubes)
+    divisor_key = _most_common_literal(cubes, nvars)
     if divisor_key is None:
         # No sharing: a flat OR of cube ANDs.
         return FactoredNode.disj([_cube_to_node(cube) for cube in cubes])
 
     var, negated = divmod(divisor_key, 2)
+    var_bit = 1 << var
     quotient = []
     remainder = []
     for cube in cubes:
-        if divisor_key in _cube_literal_keys(cube):
+        if (cube.neg_mask if negated else cube.pos_mask) & var_bit:
             quotient.append(_remove_literal(cube, divisor_key))
         else:
             remainder.append(cube)

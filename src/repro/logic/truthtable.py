@@ -53,22 +53,32 @@ def tt_const1(nvars: int) -> TruthTable:
     return tt_mask(nvars)
 
 
+#: Lazily filled selector rows, keyed by variable count:
+#: ``_SELECTORS[nvars] == (ones, zeros)`` where ``ones[v]`` is
+#: ``tt_var(v, nvars)`` (the minterms with ``v = 1``) and ``zeros[v]`` its
+#: complement.  Cofactors and dependency tests are then a mask and a shift
+#: instead of a Python loop that rebuilds the selector on every call.
+_SELECTORS: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
+
+
+def _selectors(nvars: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    row = _SELECTORS.get(nvars)
+    if row is None:
+        _check_nvars(nvars)
+        mask = _MASKS[nvars]
+        # mask // (2**block + 1) repeats `block` ones then `block` zeros.
+        zeros = tuple(mask // ((1 << (1 << v)) + 1) for v in range(nvars))
+        ones = tuple(zero << (1 << v) for v, zero in enumerate(zeros))
+        row = _SELECTORS[nvars] = (ones, zeros)
+    return row
+
+
 def tt_var(index: int, nvars: int) -> TruthTable:
     """Return the truth table of input variable ``index`` among ``nvars``."""
     _check_nvars(nvars)
     if not 0 <= index < nvars:
         raise TruthTableError(f"variable index {index} out of range for {nvars} vars")
-    # The table is a repeating pattern of `block` zeros followed by `block`
-    # ones, where block = 2**index.
-    block = 1 << index
-    period_pattern = ((1 << block) - 1) << block
-    table = 0
-    pos = 0
-    total_bits = 1 << nvars
-    while pos < total_bits:
-        table |= period_pattern << pos
-        pos += block * 2
-    return table & tt_mask(nvars)
+    return _selectors(nvars)[0][index]
 
 
 def tt_not(table: TruthTable, nvars: int) -> TruthTable:
@@ -132,34 +142,33 @@ def tt_cofactor(table: TruthTable, var: int, value: int, nvars: int) -> TruthTab
     _check_nvars(nvars)
     if not 0 <= var < nvars:
         raise TruthTableError(f"variable index {var} out of range for {nvars} vars")
-    block = 1 << var
-    mask = tt_mask(nvars)
-    # Build a selector of the minterms where `var` equals `value`.
-    selector = 0
-    bits_per_period = block * 2
-    pattern_ones = ((1 << block) - 1) << (block if value else 0)
-    total_bits = 1 << nvars
-    pos = 0
-    while pos < total_bits:
-        selector |= pattern_ones << pos
-        pos += bits_per_period
-    selector &= mask
-    kept = table & selector
-    # Smear the kept half onto the other half so the result ignores `var`.
+    return _cofactor(table, var, value, nvars)
+
+
+def _cofactor(table: TruthTable, var: int, value: int, nvars: int) -> TruthTable:
+    """Unchecked :func:`tt_cofactor` for the ISOP recursion."""
+    ones, zeros = _selectors(nvars)
+    # Keep the half where `var` equals `value`, then smear it onto the other
+    # half so the result ignores `var`.
     if value:
-        other = kept >> block
-    else:
-        other = kept << block
-    return (kept | other) & mask
+        kept = table & ones[var]
+        return kept | (kept >> (1 << var))
+    kept = table & zeros[var]
+    return kept | (kept << (1 << var))
+
+
+def _depends(table: TruthTable, var: int, nvars: int) -> bool:
+    """Return True when ``table`` depends on ``var``: one shift-xor, no cofactors.
+
+    Bit ``m`` of ``(table >> 2**var) ^ table`` compares minterm ``m`` with its
+    neighbour across ``var``; only the minterms with ``var = 0`` are kept.
+    """
+    return bool(((table >> (1 << var)) ^ table) & _selectors(nvars)[1][var])
 
 
 def tt_support(table: TruthTable, nvars: int) -> list[int]:
     """Return the list of variables the function actually depends on."""
-    support = []
-    for var in range(nvars):
-        if tt_cofactor(table, var, 0, nvars) != tt_cofactor(table, var, 1, nvars):
-            support.append(var)
-    return support
+    return [var for var in range(nvars) if _depends(table, var, nvars)]
 
 
 def tt_count_ones(table: TruthTable, nvars: int) -> int:

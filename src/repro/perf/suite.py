@@ -9,7 +9,9 @@ two hot paths the reproduction spends its time in:
 * the CDCL solver's propagate/analyze cycle (random 3-SAT near the phase
   transition, the pigeonhole principle, a LEC miter);
 * the synthesis kernels (cut enumeration, bit-parallel simulation,
-  exhaustive-pattern generation, AIG structural queries).
+  exhaustive-pattern generation, AIG structural queries) and the paper's
+  synthesis layer (``rewrite``, ``refactor``, ISOP + algebraic factoring)
+  on seeded test-suite circuits.
 
 ``--quick`` shrinks every workload so the whole suite finishes in a few
 seconds — that mode exists for CI smoke coverage, not for trajectory
@@ -23,6 +25,7 @@ import random
 import statistics
 import tempfile
 import time
+from collections.abc import Callable
 from dataclasses import replace
 
 from repro.aig.aig import AIG
@@ -30,8 +33,11 @@ from repro.aig.simulate import exhaustive_pi_words, simulate, simulate_random
 from repro.aig.sweep import sweep_aig
 from repro.benchgen.lec import corner_case_miter, multiplier_commutativity_miter
 from repro.benchgen.random_logic import pigeonhole_cnf, random_aig, random_cnf
+from repro.benchgen.suite import generate_test_suite
 from repro.cnf.cnf import Cnf
 from repro.cnf.tseitin import tseitin_encode
+from repro.logic.sop import Sop, factor_sop
+from repro.logic.truthtable import tt_mask
 from repro.obs import Tracer, read_trace, use_tracer
 from repro.perf.bench import Benchmark
 from repro.sat.configs import SolverConfig, cadical_like, kissat_like
@@ -40,7 +46,8 @@ from repro.sat.proof import check_drat_file
 from repro.sat.sharing import interleaved_sharing_race
 from repro.sat.solver import CdclSolver, solve_cnf
 from repro.server.loadgen import build_workload
-from repro.synthesis.cuts import enumerate_cuts
+from repro.synthesis import refactor, rewrite
+from repro.synthesis.cuts import cone_truth_table, enumerate_cuts, reconvergence_cut
 
 
 def _solve_batch(cnfs: list[Cnf]) -> dict[str, float]:
@@ -424,6 +431,44 @@ def _cube_conquer_batch(payload: tuple[Cnf, list[int]]) -> dict[str, float]:
 # --------------------------------------------------------------------- #
 
 
+def _suite_circuits(picks: tuple[tuple[int, int, int], ...]) -> list[AIG]:
+    """``generate_test_suite(size, seed)[index]`` for each pick."""
+    return [generate_test_suite(size, seed=seed)[index].aig
+            for size, seed, index in picks]
+
+
+def _synth_batch(operation: Callable[[AIG], AIG],
+                 aigs: list[AIG]) -> dict[str, float]:
+    """Apply one synthesis operation to every circuit (inputs stay intact)."""
+    return {"ands_in": sum(aig.num_ands for aig in aigs),
+            "ands_out": sum(operation(aig).num_ands for aig in aigs)}
+
+
+def _cone_tables(aigs: list[AIG], max_leaves: int = 10) -> list[tuple[int, int]]:
+    """The distinct non-constant cone functions ``refactor`` would collapse."""
+    tables = set()
+    for aig in aigs:
+        for var in aig.and_vars():
+            leaves = reconvergence_cut(aig, var, max_leaves=max_leaves)
+            if len(leaves) < 2 or var in leaves:
+                continue
+            table = cone_truth_table(aig, var, leaves) & tt_mask(len(leaves))
+            if table not in (0, tt_mask(len(leaves))):
+                tables.add((len(leaves), table))
+    return sorted(tables)
+
+
+def _isop_factor_batch(tables: list[tuple[int, int]]) -> dict[str, float]:
+    """ISOP-cover and factor both polarities of every table, as refactor does."""
+    cubes = literals = 0
+    for nvars, table in tables:
+        for function in (table, ~table & tt_mask(nvars)):
+            sop = Sop.from_truth_table(function, nvars)
+            cubes += sop.num_cubes
+            literals += factor_sop(sop).literal_count()
+    return {"tables": len(tables), "cubes": cubes, "literals": literals}
+
+
 def default_suite(quick: bool = False) -> list[Benchmark]:
     """Build the benchmark list; ``quick`` shrinks every workload for CI."""
     # (num_vars, seeds) for the random 3-SAT batch, at clause ratio ~4.26.
@@ -447,6 +492,11 @@ def default_suite(quick: bool = False) -> list[Benchmark]:
     obs_vars = 80 if quick else 100
     obs_seeds = range(2) if quick else range(4)
     server_requests = 24 if quick else 96
+    # generate_test_suite (size, seed, index) picks for the synthesis layer:
+    # quick takes an ALU and a ripple-adder stuck-at instance; full takes
+    # the multiplier miter, mutated adder and adder equivalence of seed 1000.
+    synth_picks = (((12, 0, 11), (11, 2, 10)) if quick
+                   else ((5, 1000, 0), (5, 1000, 2), (5, 1000, 4)))
 
     benchmarks = [
         Benchmark(
@@ -565,6 +615,32 @@ def default_suite(quick: bool = False) -> list[Benchmark]:
                          f"latency and dedup hits"),
             setup=lambda: build_workload(server_requests, seed=5),
             run=_server_throughput_batch,
+        ),
+        Benchmark(
+            name="synth_rewrite",
+            category="synthesis",
+            description=f"rewrite (4-cuts, ISOP + factoring) on "
+                        f"{len(synth_picks)} seeded test-suite circuits",
+            setup=lambda: _suite_circuits(synth_picks),
+            run=lambda aigs: _synth_batch(rewrite, aigs),
+        ),
+        Benchmark(
+            name="synth_refactor",
+            category="synthesis",
+            description=f"refactor (10-leaf reconvergence cones, ISOP + "
+                        f"factoring) on {len(synth_picks)} seeded test-suite "
+                        f"circuits",
+            setup=lambda: _suite_circuits(synth_picks),
+            run=lambda aigs: _synth_batch(refactor, aigs),
+        ),
+        Benchmark(
+            name="isop_factor",
+            category="synthesis",
+            description=f"ISOP + quick factoring of both polarities of the "
+                        f"distinct refactor cone functions of the same "
+                        f"{len(synth_picks)} circuits",
+            setup=lambda: _cone_tables(_suite_circuits(synth_picks)),
+            run=_isop_factor_batch,
         ),
         Benchmark(
             name="cuts_enumerate",

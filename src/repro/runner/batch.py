@@ -45,7 +45,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 
 from repro.core.pipeline import run_pipeline
-from repro.core.results import RESOURCE_STATUSES, InstanceRun
+from repro.core.results import UNCACHED_STATUSES, InstanceRun
 from repro.errors import ResourceLimitExceeded, is_transient
 from repro.obs import Tracer, get_tracer, set_tracer
 from repro.resilience.chaos import get_chaos
@@ -65,11 +65,6 @@ _CRASH_POLICY = RetryPolicy(max_attempts=3, backoff_base=0.1, backoff_max=2.0)
 
 #: Attempts at persisting one result before it is (visibly) dropped.
 _STORE_ATTEMPTS = 3
-
-#: Statuses that must not be cached: ERROR runs are retried on resume, and
-#: resource trips (MEMOUT) may succeed under a higher ceiling — the limit
-#: is not part of the task fingerprint.
-_UNCACHED_STATUSES = ("ERROR",) + RESOURCE_STATUSES
 
 
 class HardTimeout(Exception):
@@ -481,7 +476,7 @@ class BatchRunner:
         anyway — dropped from the cache, never from the batch — with the
         failure counted on ``resilience.store_errors``.
         """
-        if self.store is None or run.status in _UNCACHED_STATUSES \
+        if self.store is None or run.status in UNCACHED_STATUSES \
                 or task.proof is not None:
             return run
         tracer = get_tracer()

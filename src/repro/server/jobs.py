@@ -79,10 +79,6 @@ CONFIG_PRESETS = {
     "cadical_like": cadical_like,
 }
 
-#: Statuses whose results are cacheable: ERROR runs should be retried on
-#: resubmission and resource trips may pass under a different budget.
-UNCACHED_STATUSES = ("ERROR", "MEMOUT", "CANCELLED")
-
 _PIPELINE_ALIASES = {
     "baseline": "Baseline",
     "comp": "Comp.",

@@ -47,6 +47,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
+from repro.core.results import UNCACHED_STATUSES
 from repro.errors import ReproError
 from repro.obs import get_tracer
 from repro.obs.metrics import MetricsRegistry
@@ -55,7 +56,7 @@ from repro.resilience.policy import RetryPolicy, Supervisor
 from repro.resilience.watchdog import install_worker_limits
 from repro.runner.store import StoreError
 from repro.runner.task import SCHEMA_VERSION, default_hard_timeout
-from repro.server.jobs import UNCACHED_STATUSES, JobSpec, execute_job
+from repro.server.jobs import JobSpec, execute_job
 
 __all__ = [
     "AdmissionError",

@@ -31,8 +31,9 @@ def refactor(aig: AIG, max_leaves: int = 10, min_cone_size: int = 3,
     cones freeing fewer than ``min_cone_size`` nodes are not even evaluated,
     which keeps the operation fast on large netlists.
     """
-    fanout_counts = aig.fanout_counts()
     pass_state = ReplacementPass(aig)
+    aig = pass_state.aig  # private working copy; the input stays intact
+    fanout_counts = aig.fanout_counts()
 
     for var in aig.and_vars():
         lit0, lit1 = aig.fanins(var)

@@ -27,8 +27,9 @@ from repro.synthesis.resynth import ReplacementPass, cut_cone_gain
 def resub(aig: AIG, max_leaves: int = 8, max_divisors: int = 20,
           try_one_resub: bool = True) -> AIG:
     """Return a resubstituted, functionally equivalent AIG."""
-    fanout_counts = aig.fanout_counts()
     pass_state = ReplacementPass(aig)
+    aig = pass_state.aig  # private working copy; the input stays intact
+    fanout_counts = aig.fanout_counts()
 
     for var in aig.and_vars():
         lit0, lit1 = aig.fanins(var)

@@ -158,9 +158,11 @@ def cut_cone_gain(aig: AIG, root: int, leaves: tuple[int, ...],
 
 
 class ReplacementPass:
-    """Bookkeeping for one in-place replacement pass over an AIG.
+    """Bookkeeping for one replacement pass over a private copy of an AIG.
 
-    The pass appends replacement structures to the same AIG and records a
+    The pass works on ``self.aig``, a copy of the input with the same
+    variable numbering: candidate and replacement structures are appended
+    there, so the caller's AIG is never mutated.  It records a
     variable-to-literal substitution map.  :meth:`resolve` translates any
     original literal into its current replacement (following chains), and
     :meth:`finalize` rebuilds a clean AIG with the substitutions applied to
@@ -168,7 +170,7 @@ class ReplacementPass:
     """
 
     def __init__(self, aig: AIG) -> None:
-        self.aig = aig
+        self.aig = aig.copy()
         self._substitution: dict[int, int] = {}
 
     def resolve(self, literal: int) -> int:

@@ -30,9 +30,10 @@ def rewrite(aig: AIG, cut_size: int = 4, max_cuts: int = 8,
     count; this mirrors ABC's ``rewrite -z`` and is occasionally useful to
     escape local minima in longer recipes.
     """
+    pass_state = ReplacementPass(aig)
+    aig = pass_state.aig  # private working copy; the input stays intact
     cuts = enumerate_cuts(aig, k=cut_size, max_cuts=max_cuts)
     fanout_counts = aig.fanout_counts()
-    pass_state = ReplacementPass(aig)
     structure_cache: dict[tuple[int, int], object] = {}
 
     for var in aig.and_vars():

@@ -8,8 +8,9 @@ import time
 import pytest
 
 from repro.core.pipeline import PIPELINES, baseline_pipeline
+from repro.core.results import UNCACHED_STATUSES, InstanceRun
 from repro.runner import BatchRunner, ResultStore, Task, canonical_record
-from repro.sat import kissat_like
+from repro.sat import SolverStats, kissat_like
 
 from tests.helpers import random_aig, ripple_adder_aig
 
@@ -113,6 +114,17 @@ class TestCaching:
         assert resumed.executed == 2
         assert all(run.solved for run in resumed.runs)
         assert len(ResultStore(path)) == 4
+
+    @pytest.mark.parametrize("status", UNCACHED_STATUSES)
+    def test_uncached_statuses_stay_out_of_the_store(self, tmp_path, status):
+        """The runner skips the same statuses as the server's memo."""
+        store = ResultStore(tmp_path / "store.jsonl")
+        task = small_tasks(count=1)[0]
+        run = InstanceRun(instance_name="x", pipeline_name="Baseline",
+                          status=status, transform_time=0.0, solve_time=0.0,
+                          stats=SolverStats(), num_vars=0, num_clauses=0)
+        BatchRunner(jobs=1, store=store)._finish(task.fingerprint(), task, run)
+        assert len(store) == 0
 
 
 @pytest.mark.skipif(not _HAS_ALARM, reason="requires SIGALRM")

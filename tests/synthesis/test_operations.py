@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.aig import AIG, compute_stats, lit_not
+from repro.aig.aiger import write_aiger
 from repro.errors import SynthesisError
 from repro.synthesis import (
     apply_operation,
@@ -81,6 +82,29 @@ class TestFunctionalEquivalence:
     def test_balance_property(self, seed):
         aig = random_aig(num_pis=5, num_nodes=25, seed=seed)
         assert functionally_equivalent(aig, balance(aig))
+
+
+class TestPurity:
+    """Operations are pure functions of their input's content."""
+
+    @pytest.mark.parametrize("operation", [rewrite, refactor, resub],
+                             ids=lambda op: op.__name__)
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_input_is_not_mutated(self, operation, seed):
+        aig = random_aig(num_pis=8, num_nodes=60, seed=seed)
+        text, ands = write_aiger(aig), aig.num_ands
+        operation(aig)
+        assert write_aiger(aig) == text
+        assert aig.num_ands == ands
+
+    @pytest.mark.parametrize("operation", [rewrite, refactor, resub],
+                             ids=lambda op: op.__name__)
+    def test_output_ignores_earlier_calls_on_the_input(self, operation):
+        aig = random_aig(num_pis=8, num_nodes=60, seed=3)
+        fresh = write_aiger(operation(aig.copy()))
+        for other in (rewrite, refactor, resub, operation):
+            other(aig)
+        assert write_aiger(operation(aig)) == fresh
 
 
 class TestQuality:
