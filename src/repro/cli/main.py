@@ -22,12 +22,13 @@ from repro.aig.aig import AIG
 from repro.aig.aiger import load_aiger
 from repro.cnf.cnf import Cnf
 from repro.cnf.dimacs import parse_dimacs, write_dimacs_file
-from repro.core.pipeline import PIPELINES
+from repro.core.pipeline import (PIPELINE_ALIASES, PIPELINES,
+                                 canonical_pipeline, encode_aig,
+                                 write_refuted_cnf)
 from repro.errors import ReproError
 from repro.obs import (
     Tracer,
     configure_logging,
-    get_tracer,
     read_trace,
     set_tracer,
     verbosity_level,
@@ -44,23 +45,9 @@ from repro.sat.backends import (
     get_backend,
     resolve_backend,
 )
-from repro.sat.configs import SolverConfig, cadical_like, kissat_like
+from repro.sat.configs import CONFIG_PRESETS
 from repro.sat.solver import SolveResult
 from repro.synthesis.recipe import OPERATIONS, canonical_operation
-
-#: CLI spellings of the named pipelines (the registry uses the paper labels).
-PIPELINE_ALIASES = {
-    "baseline": "Baseline",
-    "comp": "Comp.",
-    "comp.": "Comp.",
-    "ours": "Ours",
-}
-
-CONFIG_PRESETS = {
-    "default": SolverConfig,
-    "kissat_like": kissat_like,
-    "cadical_like": cadical_like,
-}
 
 #: SAT-competition exit codes for ``solve``.  A tripped resource watchdog
 #: (``MEMOUT``) is an inconclusive result, like a timeout.
@@ -108,7 +95,7 @@ def load_input(path: str | Path) -> tuple[str, Cnf | AIG]:
 
 def resolve_pipeline(name: str) -> str:
     """Map a CLI pipeline spelling to its registry name."""
-    canonical = PIPELINE_ALIASES.get(name.lower())
+    canonical = canonical_pipeline(name)
     if canonical is None:
         raise CliError(
             f"unknown pipeline {name!r}; choose from "
@@ -246,7 +233,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
     quiet = args.quiet
 
     _comment(f"repro solve {args.file}", quiet)
-    tracer = get_tracer()
     transform_time = 0.0
     pipeline_name = None
     recipe = None
@@ -255,10 +241,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
         kwargs = pipeline_kwargs_from_args(args, pipeline_name)
         _comment(f"circuit: {instance.num_pis} PIs, {instance.num_pos} POs, "
                  f"{instance.num_ands} AND gates", quiet)
-        with tracer.span("preprocess", pipeline=pipeline_name,
-                         instance=str(args.file)) as span:
-            cnf, transform_time = PIPELINES[pipeline_name](instance, **kwargs)
-            span.set(num_vars=cnf.num_vars, num_clauses=cnf.num_clauses)
+        cnf, transform_time = encode_aig(instance, pipeline_name,
+                                         str(args.file), kwargs)
         recipe = kwargs.get("recipe")
         _comment(f"pipeline {pipeline_name}: encoded in "
                  f"{transform_time:.3f} s", quiet)
@@ -369,22 +353,14 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
     proof_path = None
     if args.proof is not None:
-        if portfolio_report is not None:
-            proof_path = portfolio_report.proof
-        elif result.status == "UNSAT" and Path(args.proof).exists():
+        cnf_sibling = write_refuted_cnf(cnf, args.proof, result.status, [
+            "CNF refuted by the DRAT proof in " + Path(args.proof).name,
+            f"source: {args.file}",
+        ])
+        if cnf_sibling is not None:
             proof_path = args.proof
-        if proof_path is not None:
-            # The proof refutes the CNF that was actually solved (after any
-            # circuit preprocessing), so write that exact formula next to it
-            # — 'repro proof check' needs both.
-            cnf_sibling = proof_path + ".cnf"
-            write_dimacs_file(cnf, cnf_sibling, comments=[
-                "CNF refuted by the DRAT proof in "
-                + Path(proof_path).name,
-                f"source: {args.file}",
-            ])
-            _comment(f"proof: wrote {proof_path} and {cnf_sibling}; verify "
-                     f"with 'repro proof check {cnf_sibling} {proof_path}'",
+            _comment(f"proof: wrote {args.proof} and {cnf_sibling}; verify "
+                     f"with 'repro proof check {cnf_sibling} {args.proof}'",
                      quiet)
         else:
             _comment(f"proof: no DRAT proof produced "
@@ -440,10 +416,8 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
     pipeline_name = resolve_pipeline(args.pipeline)
     kwargs = pipeline_kwargs_from_args(args, pipeline_name)
 
-    with get_tracer().span("preprocess", pipeline=pipeline_name,
-                           instance=str(args.file)) as span:
-        cnf, transform_time = PIPELINES[pipeline_name](instance, **kwargs)
-        span.set(num_vars=cnf.num_vars, num_clauses=cnf.num_clauses)
+    cnf, transform_time = encode_aig(instance, pipeline_name, str(args.file),
+                                     kwargs)
 
     output = Path(args.output) if args.output else Path(
         Path(args.file).stem + f".{args.pipeline.lower().rstrip('.')}.cnf")

@@ -20,15 +20,16 @@ arguments through ``pipeline_kwargs`` (e.g. ``lut_size`` or an explicit
 from __future__ import annotations
 
 import logging
+import os
 import time
-from dataclasses import dataclass
 from collections.abc import Callable
 
 from repro.aig.aig import AIG
 from repro.cnf.cnf import Cnf
+from repro.cnf.dimacs import write_dimacs_file
 from repro.cnf.tseitin import tseitin_encode
 from repro.core.preprocess import Preprocessor
-from repro.core.results import InstanceRun, RunSet
+from repro.core.results import InstanceRun
 from repro.obs import get_tracer
 from repro.sat.backends import SolverBackend, resolve_backend
 from repro.sat.configs import SolverConfig
@@ -38,23 +39,17 @@ from repro.synthesis.recipe import COMPRESS2_RECIPE
 logger = logging.getLogger(__name__)
 
 __all__ = [
-    "PipelineSpec",
     "InstanceRun",
     "PIPELINES",
+    "PIPELINE_ALIASES",
     "baseline_pipeline",
+    "canonical_pipeline",
     "comp_pipeline",
+    "encode_aig",
     "ours_pipeline",
     "run_pipeline",
-    "PipelineComparison",
+    "write_refuted_cnf",
 ]
-
-
-@dataclass
-class PipelineSpec:
-    """A named preprocessing pipeline: AIG in, CNF plus transform-time out."""
-
-    name: str
-    encode: Callable[[AIG], tuple[Cnf, float]]
 
 
 def baseline_pipeline(aig: AIG, sweep: bool = False) -> tuple[Cnf, float]:
@@ -120,8 +115,61 @@ PIPELINES: dict[str, Callable[..., tuple[Cnf, float]]] = {
     "Ours": ours_pipeline,
 }
 
+#: Lower-case spellings of the named pipelines accepted by the CLI and the
+#: server (the registry uses the paper labels).
+PIPELINE_ALIASES = {
+    "baseline": "Baseline",
+    "comp": "Comp.",
+    "comp.": "Comp.",
+    "ours": "Ours",
+}
 
-def run_pipeline(instance_aig: AIG, pipeline: str | Callable[[AIG], tuple[Cnf, float]],
+
+def canonical_pipeline(name: str) -> str | None:
+    """The registry name of a pipeline spelling, or ``None`` if unknown."""
+    if name in PIPELINES:
+        return name
+    return PIPELINE_ALIASES.get(name.strip().lower())
+
+
+def _label(pipeline: str | Callable) -> str:
+    """The name a pipeline is reported under."""
+    if isinstance(pipeline, str):
+        return pipeline
+    return getattr(pipeline, "__name__", "custom")
+
+
+def encode_aig(aig: AIG, pipeline: str | Callable[..., tuple[Cnf, float]],
+               instance_name: str = "",
+               pipeline_kwargs: dict | None = None) -> tuple[Cnf, float]:
+    """Preprocess ``aig`` into CNF with ``pipeline``, inside a ``preprocess``
+    span; returns the CNF and the transform time."""
+    encode = PIPELINES[pipeline] if isinstance(pipeline, str) else pipeline
+    with get_tracer().span("preprocess", pipeline=_label(pipeline),
+                           instance=instance_name or aig.name) as span:
+        cnf, transform_time = encode(aig, **(pipeline_kwargs or {}))
+        span.set(num_vars=cnf.num_vars, num_clauses=cnf.num_clauses)
+    return cnf, transform_time
+
+
+def write_refuted_cnf(cnf: Cnf, proof: str, status: str,
+                      comments: list[str] | tuple[str, ...] = ()) -> str | None:
+    """Write ``cnf`` beside a kept DRAT proof as ``<proof>.cnf``.
+
+    A proof refutes the CNF that was actually solved (after any circuit
+    preprocessing), so ``repro proof check`` needs that exact formula next
+    to it.  Only an ``UNSAT`` verdict whose proof file was kept has one;
+    returns the sibling's path, or ``None`` when nothing was written.
+    """
+    if status != "UNSAT" or not os.path.exists(proof):
+        return None
+    sibling = proof + ".cnf"
+    write_dimacs_file(cnf, sibling, comments=comments)
+    return sibling
+
+
+def run_pipeline(instance: AIG | Cnf,
+                 pipeline: str | Callable[[AIG], tuple[Cnf, float]],
                  instance_name: str = "", config: SolverConfig | None = None,
                  time_limit: float | None = None,
                  max_conflicts: int | None = None,
@@ -130,7 +178,11 @@ def run_pipeline(instance_aig: AIG, pipeline: str | Callable[[AIG], tuple[Cnf, f
                  backend: str | SolverBackend | None = None,
                  backend_kwargs: dict | None = None,
                  proof: str | None = None) -> InstanceRun:
-    """Preprocess ``instance_aig`` with ``pipeline`` and solve the result.
+    """Preprocess ``instance`` with ``pipeline`` and solve the result.
+
+    A :class:`~repro.cnf.cnf.Cnf` instance is already encoded: it skips
+    the pipeline and is solved as given.  The run carries the model of a
+    SAT verdict, over the variables of the CNF that was solved.
 
     ``pipeline_kwargs`` are forwarded to the pipeline's encoder, so named
     pipelines can be customised per call (e.g. ``{"lut_size": 6}`` or
@@ -148,22 +200,17 @@ def run_pipeline(instance_aig: AIG, pipeline: str | Callable[[AIG], tuple[Cnf, f
 
     ``proof`` requests a DRAT proof of an UNSAT verdict at that path.  The
     proof refutes the *preprocessed* CNF this call built, not the input
-    AIG; callers that want to check it must keep that CNF (the CLI writes
-    a sibling ``<proof>.cnf`` for exactly this reason).
+    AIG, so that CNF is written beside it as ``<proof>.cnf`` (the pair
+    ``repro proof check`` takes, see :func:`write_refuted_cnf`).
     """
-    if isinstance(pipeline, str):
-        encode = PIPELINES[pipeline]
-        pipeline_name = pipeline
+    pipeline_name = _label(pipeline)
+    if isinstance(instance, Cnf):
+        name, cnf, transform_time = instance_name, instance, 0.0
     else:
-        encode = pipeline
-        pipeline_name = getattr(pipeline, "__name__", "custom")
-    tracer = get_tracer()
-    name = instance_name or instance_aig.name
-    logger.info("pipeline %s on %s", pipeline_name, name or "<unnamed>")
-    with tracer.span("preprocess", pipeline=pipeline_name,
-                     instance=name) as span:
-        cnf, transform_time = encode(instance_aig, **(pipeline_kwargs or {}))
-        span.set(num_vars=cnf.num_vars, num_clauses=cnf.num_clauses)
+        name = instance_name or instance.name
+        logger.info("pipeline %s on %s", pipeline_name, name or "<unnamed>")
+        cnf, transform_time = encode_aig(instance, pipeline, name,
+                                         pipeline_kwargs)
     solve_kwargs: dict = {}
     if proof is not None:
         # Only passed when requested, so backend instances predating the
@@ -177,8 +224,10 @@ def run_pipeline(instance_aig: AIG, pipeline: str | Callable[[AIG], tuple[Cnf, f
     logger.info("pipeline %s on %s: %s (%.3f s transform, %.3f s solve)",
                 pipeline_name, name or "<unnamed>", result.status,
                 transform_time, result.stats.solve_time)
+    if proof is not None:
+        write_refuted_cnf(cnf, proof, result.status)
     return InstanceRun(
-        instance_name=instance_name or instance_aig.name,
+        instance_name=name,
         pipeline_name=pipeline_name,
         status=result.status,
         transform_time=transform_time,
@@ -186,13 +235,5 @@ def run_pipeline(instance_aig: AIG, pipeline: str | Callable[[AIG], tuple[Cnf, f
         stats=result.stats,
         num_vars=cnf.num_vars,
         num_clauses=cnf.num_clauses,
+        model=result.model,
     )
-
-
-@dataclass
-class PipelineComparison(RunSet):
-    """Runs of several pipelines over a common instance set.
-
-    A thin alias of :class:`repro.core.results.RunSet`, kept for its
-    historical name in the core API.
-    """

@@ -7,8 +7,7 @@ quantities every harness reports — total overall runtime with timeouts
 charged at the limit (the paper's ``T_solve`` accounting), total decision
 counts ("variable branching times") and solved-instance counts.
 
-The evaluation harnesses (:class:`repro.core.pipeline.PipelineComparison`,
-:class:`repro.eval.runtime.RuntimeComparison`,
+The evaluation harnesses (:class:`repro.eval.runtime.RuntimeComparison`,
 :class:`repro.eval.ablation.AblationResult`) and the batch-execution
 subsystem (:mod:`repro.runner`) all build on this module, so a run computed
 by any of them can be aggregated by all of them.
@@ -42,7 +41,16 @@ UNCACHED_STATUSES = ("ERROR",) + RESOURCE_STATUSES + ("CANCELLED",)
 
 @dataclass
 class InstanceRun:
-    """The outcome of running one pipeline on one instance."""
+    """The outcome of running one pipeline on one instance.
+
+    The last three fields are what a fresh run hands back beyond its
+    record: the ``model`` of a SAT verdict (over the solved CNF's
+    variables), the ``error`` text of an ``ERROR`` run, and the ``output``
+    artefacts of a task :func:`repro.runner.batch.execute_task` ran to the
+    end: ``dimacs`` for a preprocess, ``aiger`` and sweep ``stats`` for a
+    sweep, nothing for a solve.  A run the guard stopped has no ``output``.
+    The result store does not keep them, so they take no part in equality.
+    """
 
     instance_name: str
     pipeline_name: str
@@ -52,6 +60,9 @@ class InstanceRun:
     stats: SolverStats
     num_vars: int
     num_clauses: int
+    model: dict[int, bool] | None = field(default=None, compare=False)
+    error: str | None = field(default=None, compare=False)
+    output: dict | None = field(default=None, compare=False)
 
     @property
     def total_time(self) -> float:

@@ -42,18 +42,22 @@ import threading
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 
-from repro.core.pipeline import run_pipeline
+from repro.aig.aiger import write_aiger
+from repro.aig.sweep import sweep_aig
+from repro.cnf import write_dimacs
+from repro.core.pipeline import encode_aig, run_pipeline
 from repro.core.results import UNCACHED_STATUSES, InstanceRun
-from repro.errors import ResourceLimitExceeded, is_transient
+from repro.errors import ReproError, ResourceLimitExceeded, is_transient
 from repro.obs import Tracer, get_tracer, set_tracer
 from repro.resilience.chaos import get_chaos
 from repro.resilience.policy import RetryPolicy, Supervisor
 from repro.resilience.watchdog import (Watchdog, install_worker_limits,
                                        use_watchdog)
 from repro.runner.store import ResultStore, StoreError
-from repro.runner.task import Task
+from repro.runner.task import Task, TaskError
 from repro.sat.configs import SolverConfig
 from repro.sat.stats import SolverStats
 
@@ -84,16 +88,17 @@ def _alarm_available() -> bool:
 def execute_task(task: Task) -> InstanceRun:
     """Run one task to completion in the current process.
 
-    This is the single execution path for serial runs, pool workers and
-    tests, so every mode produces identical results.  A task that exceeds
-    its ``hard_timeout`` is reported as a ``TIMEOUT`` run instead of raising;
-    a tripped resource watchdog (or a hard rlimit's ``MemoryError``) becomes
-    a clean ``MEMOUT``/``TIMEOUT`` run; unexpected pipeline/solver errors are
-    reported as ``ERROR`` runs so one bad cell cannot abort a long sweep.
+    This is the single guarded execution path for serial runs, pool
+    workers, the solve server and tests, so every mode produces identical
+    results.  A task that exceeds its ``hard_timeout`` is reported as a
+    ``TIMEOUT`` run instead of raising; a tripped resource watchdog (the
+    task's own ``mem_limit_mb`` or one armed by the caller) or a hard
+    rlimit's ``MemoryError`` becomes a clean ``MEMOUT``/``TIMEOUT`` run;
+    unexpected pipeline/solver errors are reported as ``ERROR`` runs
+    carrying the error text, so one bad cell cannot abort a long sweep.
     """
     config = task.config if task.config is not None else SolverConfig()
     config = replace(config, seed=task.seed())
-    aig = task.aig()
     use_alarm = task.hard_timeout is not None and _alarm_available()
     previous_handler = None
     previous_timer = (0.0, 0.0)
@@ -102,6 +107,8 @@ def execute_task(task: Task) -> InstanceRun:
     attrs = {"instance": task.instance_name, "pipeline": task.group_name}
     if tracer.enabled:
         attrs["fingerprint"] = task.fingerprint()[:16]
+    watchdog = use_watchdog(Watchdog(mem_limit_mb=task.mem_limit_mb)) \
+        if task.mem_limit_mb else nullcontext()
 
     def disarm() -> None:
         # Re-arm any timer the caller had pending (jobs=1 runs in the
@@ -112,10 +119,10 @@ def execute_task(task: Task) -> InstanceRun:
             signal.signal(signal.SIGALRM, previous_handler)
 
     # The outer try exists because the alarm can fire in the gap between
-    # run_pipeline returning and the inner finally disarming it; a
-    # HardTimeout raised there must still become a TIMEOUT run, never escape
-    # and abort the whole sweep.
-    with tracer.span("task", **attrs) as span:
+    # the task returning and the inner finally disarming it; a HardTimeout
+    # raised there must still become a TIMEOUT run, never escape and abort
+    # the whole sweep.
+    with tracer.span("task", **attrs) as span, watchdog:
         try:
             try:
                 if use_alarm:
@@ -126,16 +133,7 @@ def execute_task(task: Task) -> InstanceRun:
                 # Fault injection runs inside the armed window so injected
                 # delays still count against the wall-clock budget.
                 get_chaos().on_task_start(task.instance_name)
-                run = run_pipeline(
-                    aig, task.pipeline,
-                    instance_name=task.instance_name,
-                    config=config,
-                    time_limit=task.time_limit,
-                    pipeline_kwargs=task.pipeline_kwargs,
-                    backend=task.backend,
-                    backend_kwargs=task.backend_kwargs,
-                    proof=task.proof,
-                )
+                run = _run_task(task, config)
             finally:
                 disarm()
         except HardTimeout:
@@ -149,14 +147,50 @@ def execute_task(task: Task) -> InstanceRun:
             # (the soft watchdog converts in-loop trips itself).
             disarm()
             run = _aborted_run(task, "MEMOUT", time.perf_counter() - start)
-        except Exception:
+        except Exception as error:
             disarm()
             logger.exception("task %s/%s failed", task.instance_name,
                              task.pipeline)
-            run = _aborted_run(task, "ERROR", time.perf_counter() - start)
+            text = str(error) if isinstance(error, ReproError) \
+                else f"{type(error).__name__}: {error}"
+            run = _aborted_run(task, "ERROR", time.perf_counter() - start,
+                               error=text)
         span.set(status=run.status)
     run.pipeline_name = task.group_name
     return run
+
+
+def _run_task(task: Task, config: SolverConfig) -> InstanceRun:
+    """The happy path of one task, inside the armed guard window."""
+    if task.kind == "solve":
+        run = run_pipeline(
+            task.instance(), task.pipeline,
+            instance_name=task.instance_name,
+            config=config,
+            time_limit=task.time_limit,
+            pipeline_kwargs=task.pipeline_kwargs,
+            backend=task.backend,
+            backend_kwargs=task.backend_kwargs,
+            proof=task.proof,
+        )
+        run.output = {}  # finished; a solve's artefacts are its record
+        return run
+    if task.kind == "preprocess":
+        cnf, transform_time = encode_aig(task.aig(), task.pipeline,
+                                         task.instance_name,
+                                         task.pipeline_kwargs)
+        return InstanceRun(task.instance_name, task.pipeline, "DONE",
+                           transform_time, 0.0, SolverStats(),
+                           cnf.num_vars, cnf.num_clauses,
+                           output={"dimacs": write_dimacs(cnf)})
+    if task.kind == "sweep":
+        result = sweep_aig(task.aig(), seed=(task.seed() % 100000) or 1,
+                           config=config)
+        return InstanceRun(task.instance_name, task.pipeline, "DONE",
+                           result.stats.sweep_time, 0.0, SolverStats(), 0, 0,
+                           output={"stats": result.stats.as_dict(),
+                                   "aiger": write_aiger(result.aig)})
+    raise TaskError(f"unknown task kind {task.kind!r}")
 
 
 def _execute_task_traced(task: Task, trace_path: str | None) -> InstanceRun:
@@ -188,7 +222,8 @@ def _relabelled(run: InstanceRun, task: Task) -> InstanceRun:
                    pipeline_name=task.group_name)
 
 
-def _aborted_run(task: Task, status: str, elapsed: float) -> InstanceRun:
+def _aborted_run(task: Task, status: str, elapsed: float,
+                 error: str | None = None) -> InstanceRun:
     """A placeholder run for a task killed before producing a result."""
     return InstanceRun(
         instance_name=task.instance_name,
@@ -199,6 +234,7 @@ def _aborted_run(task: Task, status: str, elapsed: float) -> InstanceRun:
         stats=SolverStats(solve_time=elapsed),
         num_vars=0,
         num_clauses=0,
+        error=error,
     )
 
 

@@ -34,20 +34,13 @@ from repro.sat.backends import (
     get_backend,
     is_internal,
 )
-from repro.sat.configs import SolverConfig, cadical_like, kissat_like
+from repro.sat.configs import CONFIG_PRESETS, SolverConfig
 
 #: Suite name -> (generator, default seed); sizes come from ``--size``.
 SUITES = {
     "training": (generate_training_suite, 0),
     "test": (generate_test_suite, 1000),
 }
-
-SOLVER_PRESETS = {
-    "default": SolverConfig,
-    "kissat_like": kissat_like,
-    "cadical_like": cadical_like,
-}
-
 
 def _positive_int(value: str) -> int:
     parsed = int(value)
@@ -71,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--pipelines", nargs="+", default=["Baseline", "Comp.", "Ours"],
                         choices=sorted(PIPELINES), metavar="PIPELINE",
                         help="pipelines to run (default: Baseline Comp. Ours)")
-    parser.add_argument("--solver", choices=sorted(SOLVER_PRESETS),
+    parser.add_argument("--solver", choices=sorted(CONFIG_PRESETS),
                         default="kissat_like",
                         help="solver preset (default: kissat_like)")
     parser.add_argument("--backend", choices=sorted(set(BACKEND_NAMES)),
@@ -147,7 +140,7 @@ def main(argv: list[str] | None = None) -> int:
     generator, default_seed = SUITES[args.suite]
     seed = args.seed if args.seed is not None else default_seed
     instances = generator(num_instances=args.size, seed=seed)
-    config = SOLVER_PRESETS[args.solver]()
+    config = CONFIG_PRESETS[args.solver]()
     time_limit = args.time_limit if args.time_limit and args.time_limit > 0 else None
 
     try:

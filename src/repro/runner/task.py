@@ -1,9 +1,12 @@
-"""The unit of batch execution: one (instance, pipeline, solver-config) cell.
+"""The unit of execution: one (instance, pipeline, solver-config) cell.
 
 A :class:`Task` is a fully self-contained, picklable and JSON-stable
-description of one run: the instance circuit travels as serialised ASCII
-AIGER text, the pipeline as its registry name plus JSON-serialisable keyword
-arguments, and the solver as a :class:`repro.sat.configs.SolverConfig`.
+description of one run: the instance travels as its serialised payload
+(ASCII AIGER, canonical when built by :meth:`Task.from_aig`, or DIMACS for
+a CNF solve), the pipeline as its registry name plus JSON-serialisable
+keyword arguments, and the solver as a
+:class:`repro.sat.configs.SolverConfig`.  The batch runner and the solve
+server both execute tasks, through :func:`repro.runner.batch.execute_task`.
 
 Every task has a stable content hash (:meth:`Task.fingerprint`) derived from
 all inputs that influence the outcome.  The hash keys the persistent
@@ -21,6 +24,8 @@ from typing import TYPE_CHECKING
 
 from repro.aig.aig import AIG
 from repro.aig.aiger import read_aiger, write_aiger
+from repro.cnf.cnf import Cnf
+from repro.cnf.dimacs import parse_dimacs
 from repro.errors import ReproError
 from repro.sat.configs import SolverConfig
 
@@ -31,6 +36,9 @@ if TYPE_CHECKING:
 #: stale stores are never mistaken for valid caches.
 SCHEMA_VERSION = 1
 
+#: What a task computes: a verdict, a preprocessed CNF, or a swept AIG.
+TASK_KINDS = ("solve", "preprocess", "sweep")
+
 
 class TaskError(ReproError):
     """A task could not be built or is not executable."""
@@ -40,6 +48,9 @@ class TaskError(ReproError):
 class Task:
     """One (instance, pipeline, solver-config) cell of a sweep.
 
+    ``kind`` is ``solve`` (the default), ``preprocess`` (the pipeline's
+    CNF only) or ``sweep`` (SAT sweeping of the circuit); ``fmt`` says
+    whether ``payload`` is AIGER (``aig``) or DIMACS (``cnf``, solve only).
     ``time_limit`` is the solver's soft (in-loop) limit; ``hard_timeout`` is
     the wall-clock budget for the whole task (transform + solve), enforced by
     the runner with a worker-side alarm.  ``group`` relabels the run for
@@ -56,12 +67,17 @@ class Task:
     *verdict* is the same computation with or without logging — but a
     proof-bearing task is never served from (or written to) the result
     cache: a cached record has no proof file to offer, so the run must
-    actually execute (see :class:`repro.runner.batch.BatchRunner`).
+    actually execute (see :class:`repro.runner.batch.BatchRunner`).  The
+    server asks for a proof with an empty path and its adapter supplies a
+    temporary one.  ``mem_limit_mb`` arms a memory watchdog around the
+    task; like ``proof`` it is not part of the fingerprint.
     """
 
     instance_name: str
-    aiger_text: str
-    pipeline: str
+    payload: str
+    pipeline: str = "Baseline"
+    kind: str = "solve"
+    fmt: str = "aig"
     pipeline_kwargs: dict = field(default_factory=dict)
     config: SolverConfig | None = None
     time_limit: float | None = None
@@ -70,25 +86,17 @@ class Task:
     backend: str = "internal"
     backend_kwargs: dict = field(default_factory=dict)
     proof: str | None = None
+    mem_limit_mb: float | None = None
 
     _fingerprint: str | None = field(default=None, repr=False, compare=False)
 
     @classmethod
     def from_instance(cls, instance: "CsatInstance", pipeline: str,
-                      pipeline_kwargs: dict | None = None,
-                      config: SolverConfig | None = None,
-                      time_limit: float | None = None,
-                      hard_timeout: float | None = None,
-                      group: str = "", backend: str = "internal",
-                      backend_kwargs: dict | None = None,
-                      proof: str | None = None) -> "Task":
-        """Build a task from a generated suite instance."""
+                      **kwargs) -> "Task":
+        """Build a task from a generated suite instance; ``kwargs`` as for
+        :meth:`from_aig`."""
         return cls.from_aig(instance.aig, pipeline,
-                            instance_name=instance.name,
-                            pipeline_kwargs=pipeline_kwargs, config=config,
-                            time_limit=time_limit, hard_timeout=hard_timeout,
-                            group=group, backend=backend,
-                            backend_kwargs=backend_kwargs, proof=proof)
+                            instance_name=instance.name, **kwargs)
 
     @classmethod
     def from_aig(cls, aig: AIG, pipeline: str, instance_name: str = "",
@@ -110,7 +118,7 @@ class Task:
             hard_timeout = default_hard_timeout(time_limit)
         return cls(
             instance_name=instance_name or aig.name,
-            aiger_text=write_aiger(aig),
+            payload=write_aiger(aig),
             pipeline=pipeline,
             pipeline_kwargs=dict(pipeline_kwargs or {}),
             config=config,
@@ -129,45 +137,61 @@ class Task:
 
     def aig(self) -> AIG:
         """Deserialise the instance circuit."""
-        return read_aiger(self.aiger_text, name=self.instance_name)
+        return read_aiger(self.payload, name=self.instance_name)
+
+    def instance(self) -> AIG | Cnf:
+        """Deserialise the payload: the circuit, or the CNF of a CNF solve."""
+        if self.fmt == "cnf":
+            return parse_dimacs(self.payload, strict=False)
+        return self.aig()
 
     def fingerprint(self) -> str:
         """Stable content hash of everything that influences the result.
 
-        ``group`` is a pure relabelling and is excluded; ``hard_timeout`` is
-        included because it can turn a slow success into a ``TIMEOUT``.
-        ``proof`` is excluded too — logging a proof does not change the
-        verdict — and the runner instead bypasses the cache entirely for
-        proof-bearing tasks.
+        Only the fields this task's kind reads are hashed: a CNF solve has
+        no pipeline, a preprocess no solver, a sweep neither pipeline nor
+        backend.  ``group`` is a pure relabelling and is excluded;
+        ``hard_timeout`` is included because it can turn a slow success
+        into a ``TIMEOUT``.  ``proof`` and ``mem_limit_mb`` are excluded
+        too — logging a proof does not change the verdict, and a memory
+        trip is never cached — and the runner instead bypasses the cache
+        entirely for proof-bearing tasks.
         """
         if self._fingerprint is None:
-            config_payload = None
-            if self.config is not None:
-                config_payload = asdict(self.config)
-                # The runner always replaces the solver seed with the
-                # content-derived one (see :meth:`seed`), so the configured
-                # seed cannot influence the outcome and must not split the
-                # cache key.
-                config_payload.pop("seed", None)
-            payload = {
-                "schema": SCHEMA_VERSION,
-                "aig": self.aiger_text,
-                "pipeline": self.pipeline,
-                "kwargs": self.pipeline_kwargs,
-                "config": config_payload,
-                "time_limit": self.time_limit,
-                "hard_timeout": self.hard_timeout,
-            }
-            if self.backend != "internal":
-                # The default backend is omitted so fingerprints (and hence
-                # result-store caches) from before backends existed stay
-                # valid; a non-default backend is a different computation.
-                payload["backend"] = self.backend
-            if self.backend_kwargs:
-                # Same rationale: only non-default backend options split the
-                # cache key (a different worker count or cube depth is a
-                # different computation; absent options keep old caches).
-                payload["backend_kwargs"] = self.backend_kwargs
+            payload: dict = {"schema": SCHEMA_VERSION,
+                             "hard_timeout": self.hard_timeout}
+            if self.kind == "solve" and self.fmt == "aig":
+                # The layout predating kinds, so stored caches stay valid.
+                payload["aig"] = self.payload
+            else:
+                payload.update(kind=self.kind, fmt=self.fmt,
+                               payload=self.payload)
+            if self.fmt == "aig" and self.kind != "sweep":
+                payload.update(pipeline=self.pipeline,
+                               kwargs=self.pipeline_kwargs)
+            if self.kind != "preprocess":
+                config_payload = None
+                if self.config is not None:
+                    config_payload = asdict(self.config)
+                    # The runner always replaces the solver seed with the
+                    # content-derived one (see :meth:`seed`), so the
+                    # configured seed cannot influence the outcome and must
+                    # not split the cache key.
+                    config_payload.pop("seed", None)
+                payload["config"] = config_payload
+            if self.kind == "solve":
+                payload["time_limit"] = self.time_limit
+                if self.backend != "internal":
+                    # The default backend is omitted so fingerprints (and
+                    # hence result-store caches) from before backends
+                    # existed stay valid; a non-default backend is a
+                    # different computation.
+                    payload["backend"] = self.backend
+                if self.backend_kwargs:
+                    # Same rationale: only non-default backend options split
+                    # the cache key (a different worker count or cube depth
+                    # is a different computation).
+                    payload["backend_kwargs"] = self.backend_kwargs
             try:
                 text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
             except TypeError as error:

@@ -83,3 +83,11 @@ def cadical_like() -> SolverConfig:
         reduce_interval=3000,
         max_lbd_keep=4,
     )
+
+
+#: The presets selectable by name from the CLI, the runner and the server.
+CONFIG_PRESETS = {
+    "default": SolverConfig,
+    "kissat_like": kissat_like,
+    "cadical_like": cadical_like,
+}

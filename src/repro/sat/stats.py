@@ -7,7 +7,7 @@ solving-complexity proxy throughout the evaluation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 
 @dataclass
@@ -91,27 +91,3 @@ class ProgressSnapshot:
                 f"{self.learned_db_size:>8} learned "
                 f"{self.trail_depth:>7} trail "
                 f"{self.decision_level_ema:>7.1f} dl-ema")
-
-
-@dataclass
-class AggregateStats:
-    """Sum of solver statistics over a set of instances (for the harnesses)."""
-
-    total_decisions: int = 0
-    total_conflicts: int = 0
-    total_propagations: int = 0
-    total_time: float = 0.0
-    solved: int = 0
-    timeouts: int = 0
-    per_instance: list[SolverStats] = field(default_factory=list)
-
-    def add(self, stats: SolverStats, solved: bool) -> None:
-        self.total_decisions += stats.decisions
-        self.total_conflicts += stats.conflicts
-        self.total_propagations += stats.propagations
-        self.total_time += stats.solve_time
-        self.per_instance.append(stats)
-        if solved:
-            self.solved += 1
-        else:
-            self.timeouts += 1

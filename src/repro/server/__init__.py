@@ -5,8 +5,9 @@ asyncio HTTP/JSON daemon that accepts DIMACS/AIGER payloads, multiplexes
 them onto a persistent supervised process pool, and streams status and
 results.  Layering, bottom up:
 
-* :mod:`repro.server.jobs` — the validated, content-fingerprinted
-  :class:`JobSpec` and its hardened worker-side executor;
+* :mod:`repro.server.jobs` — :func:`parse_job`, which validates a JSON
+  job spec into a :class:`repro.runner.task.Task`, and the worker-side
+  adapter over the batch runner's guarded executor;
 * :mod:`repro.server.service` — admission control (quotas, bounded
   queue, load-shedding ladder), fingerprint dedup/memoization against a
   (sharded) result store, pool supervision and graceful drain;
@@ -17,7 +18,7 @@ results.  Layering, bottom up:
 """
 
 from repro.server.http import HttpServer
-from repro.server.jobs import BadRequest, JobSpec, execute_job
+from repro.server.jobs import BadRequest, execute_job, parse_job
 from repro.server.service import AdmissionError, Job, SolveService, TokenBucket
 
 __all__ = [
@@ -25,8 +26,8 @@ __all__ = [
     "BadRequest",
     "HttpServer",
     "Job",
-    "JobSpec",
     "SolveService",
     "TokenBucket",
     "execute_job",
+    "parse_job",
 ]

@@ -43,7 +43,7 @@ from urllib.parse import parse_qs, urlsplit
 
 from repro.obs import get_tracer
 from repro.resilience.chaos import get_chaos
-from repro.server.jobs import BadRequest, JobSpec
+from repro.server.jobs import BadRequest, parse_job
 from repro.server.service import AdmissionError, Job, SolveService
 
 __all__ = ["HttpServer"]
@@ -67,7 +67,7 @@ def _job_payload(job: Job, include_result: bool) -> dict:
     body = {
         "job": job.id,
         "state": job.state,
-        "kind": job.spec.kind,
+        "kind": job.task.kind,
         "cached": job.cached,
         "status": job.result.get("status") if job.result else None,
     }
@@ -268,9 +268,9 @@ class HttpServer:
         # quota, dedup and enqueue without interleaving other requests.
         with tracer.span("request", client=client) as span:
             try:
-                spec = JobSpec.from_json(data)
-                span.set(kind=spec.kind)
-                job, outcome = self.service.submit(spec, client=client)
+                task = parse_job(data)
+                span.set(kind=task.kind)
+                job, outcome = self.service.submit(task, client=client)
                 span.set(outcome=outcome, job=job.id)
             except BadRequest as error:
                 span.set(outcome="bad-request")

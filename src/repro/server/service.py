@@ -55,8 +55,8 @@ from repro.resilience.chaos import get_chaos
 from repro.resilience.policy import RetryPolicy, Supervisor
 from repro.resilience.watchdog import install_worker_limits
 from repro.runner.store import StoreError
-from repro.runner.task import SCHEMA_VERSION, default_hard_timeout
-from repro.server.jobs import JobSpec, execute_job
+from repro.runner.task import SCHEMA_VERSION, Task, default_hard_timeout
+from repro.server.jobs import execute_job
 
 __all__ = [
     "AdmissionError",
@@ -127,7 +127,7 @@ class Job:
     """One accepted submission, from admission to terminal state."""
 
     id: str
-    spec: JobSpec
+    task: Task
     fingerprint: str
     client: str
     state: str = "queued"                    # queued | running | done | cancelled
@@ -288,20 +288,21 @@ class SolveService:
     # ------------------------------------------------------------------ #
     # Admission
 
-    def _effective(self, spec: JobSpec) -> JobSpec:
-        """Apply the server's default budgets to an incoming spec."""
-        time_limit = spec.time_limit
+    def _effective(self, task: Task) -> Task:
+        """Apply the server's default budgets to an incoming task."""
+        time_limit = task.time_limit
         if time_limit is None:
             time_limit = self.default_time_limit
-        hard_timeout = spec.hard_timeout
+        hard_timeout = task.hard_timeout
         if hard_timeout is None:
             hard_timeout = self.default_hard_timeout
         if hard_timeout is None:
             hard_timeout = default_hard_timeout(time_limit)
-        mem_limit = spec.mem_limit_mb
+        mem_limit = task.mem_limit_mb
         if mem_limit is None:
             mem_limit = self.default_mem_limit_mb
-        return replace(spec, time_limit=time_limit,
+        # replace() would copy the fingerprint cached before the budgets.
+        return replace(task, time_limit=time_limit,
                        hard_timeout=hard_timeout, mem_limit_mb=mem_limit,
                        _fingerprint=None)
 
@@ -313,14 +314,13 @@ class SolveService:
         backlog = max(1, len(self._queue))
         return round(min(30.0, max(0.1, mean * backlog / self.jobs)), 3)
 
-    def submit(self, spec: JobSpec, client: str = "anonymous") -> tuple[Job, str]:
-        """Admit one spec; returns ``(job, outcome)`` or raises.
+    def submit(self, task: Task, client: str = "anonymous") -> tuple[Job, str]:
+        """Admit one task; returns ``(job, outcome)`` or raises.
 
         ``outcome`` is ``"accepted"`` (job queued), ``"cached"`` (store
         memo hit — the returned job is already terminal), or ``"dedup"``
         (attached to an identical queued/running job).  Raises
-        :class:`AdmissionError` (429/503) when the door is closed and
-        :class:`repro.server.jobs.BadRequest` for an unusable payload.
+        :class:`AdmissionError` (429/503) when the door is closed.
 
         Synchronous on purpose — admission never awaits, so tests drive
         the whole door (quota, dedup, ladder) without an event loop, and
@@ -341,12 +341,12 @@ class SolveService:
             raise AdmissionError(
                 f"quota exhausted for client {client!r}", reason="quota",
                 retry_after=round(min(wait, 30.0), 3))
-        spec = self._effective(spec)
-        fingerprint = spec.fingerprint()  # may raise BadRequest -> HTTP 400
-        if not spec.proof:
+        task = self._effective(task)
+        fingerprint = task.fingerprint()
+        if task.proof is None:
             record = self._lookup(fingerprint)
             if record is not None:
-                job = self._new_job(spec, fingerprint, client)
+                job = self._new_job(task, fingerprint, client)
                 job.cached = True
                 self._settle(job, "done", dict(record["result"]))
                 self.metrics.counter("server.dedup_hits").inc()
@@ -367,8 +367,8 @@ class SolveService:
             self.metrics.counter("server.shed").inc()
             raise AdmissionError("server overloaded", reason="overloaded",
                                  retry_after=self._retry_after())
-        job = self._new_job(spec, fingerprint, client)
-        if not spec.proof:
+        job = self._new_job(task, fingerprint, client)
+        if task.proof is None:
             self._inflight[fingerprint] = job
         self._queue.append(job)
         self.metrics.counter("server.accepted").inc()
@@ -377,9 +377,9 @@ class SolveService:
             self._queue_kick.set()
         return job, "accepted"
 
-    def _new_job(self, spec: JobSpec, fingerprint: str, client: str) -> Job:
+    def _new_job(self, task: Task, fingerprint: str, client: str) -> Job:
         self._counter += 1
-        job = Job(id=f"j{self._counter:06d}-{fingerprint[:8]}", spec=spec,
+        job = Job(id=f"j{self._counter:06d}-{fingerprint[:8]}", task=task,
                   fingerprint=fingerprint, client=client,
                   submitted_at=self.clock())
         self._jobs[job.id] = job
@@ -426,7 +426,7 @@ class SolveService:
             return
         job.reason = reason
         self._settle(job, "cancelled",
-                     {"kind": job.spec.kind, "status": "CANCELLED",
+                     {"kind": job.task.kind, "status": "CANCELLED",
                       "error": f"cancelled: {reason}"})
         self.metrics.counter("server.cancelled").inc()
 
@@ -458,7 +458,6 @@ class SolveService:
         Exhausting the retry budget produces a terminal ``ERROR`` result;
         nothing accepted ever goes unanswered.
         """
-        payload = job.spec.as_json()
         tracer = get_tracer()
         try:
             while True:
@@ -466,7 +465,7 @@ class SolveService:
                 try:
                     get_chaos().on_pool_submit()
                     assert self._pool is not None
-                    future = self._pool.submit(execute_job, payload)
+                    future = self._pool.submit(execute_job, job.task)
                     result = await asyncio.wrap_future(future)
                     self._finish_job(job, result)
                     return
@@ -484,7 +483,7 @@ class SolveService:
                         logger.error("job %s exhausted retries: %s",
                                      job.id, error)
                         self._finish_job(job, {
-                            "kind": job.spec.kind, "status": "ERROR",
+                            "kind": job.task.kind, "status": "ERROR",
                             "error": f"retries exhausted: {error}"})
                         return
                     attempt = self.supervisor.attempts(job.fingerprint)
@@ -496,7 +495,7 @@ class SolveService:
             raise
         except Exception:  # noqa: BLE001 - scheduler must survive anything
             logger.exception("job %s failed unexpectedly", job.id)
-            self._finish_job(job, {"kind": job.spec.kind, "status": "ERROR",
+            self._finish_job(job, {"kind": job.task.kind, "status": "ERROR",
                                    "error": "internal scheduler error"})
 
     def _finish_job(self, job: Job, result: dict) -> None:
@@ -527,11 +526,11 @@ class SolveService:
 
     def _persist(self, job: Job, result: dict) -> None:
         """Best-effort memoization; a failing store never fails the job."""
-        if (self.store is None or job.spec.proof
+        if (self.store is None or job.task.proof is not None
                 or result.get("status") in UNCACHED_STATUSES):
             return
         record = {"schema": SCHEMA_VERSION, "task": job.fingerprint,
-                  "server": SERVER_RECORD_VERSION, "kind": job.spec.kind,
+                  "server": SERVER_RECORD_VERSION, "kind": job.task.kind,
                   "result": result}
         tracer = get_tracer()
         for attempt in range(1, _STORE_ATTEMPTS + 1):

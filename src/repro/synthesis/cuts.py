@@ -120,12 +120,6 @@ def _merge_cuts(cut0: Cut, cut1: Cut, comp0: bool, comp1: bool,
                signature=signature)
 
 
-def _dominates(small: Cut, large: Cut) -> bool:
-    """True when ``small``'s leaves are a subset of ``large``'s leaves."""
-    small_signature = small.signature
-    return small_signature & large.signature == small_signature
-
-
 def _filter_cuts(cuts: list[Cut], max_cuts: int) -> list[Cut]:
     """Remove dominated cuts and keep at most ``max_cuts`` by size priority."""
     cuts = sorted(cuts, key=lambda cut: (len(cut.leaves), cut.leaves))

@@ -6,12 +6,12 @@ from repro.benchgen import atpg_instance, lec_instance
 from repro.benchgen.datapath import parity_tree, ripple_carry_adder
 from repro.core import (
     PIPELINES,
+    RunSet,
     baseline_pipeline,
     comp_pipeline,
     ours_pipeline,
     run_pipeline,
 )
-from repro.core.pipeline import PipelineComparison
 from repro.sat import cadical_like, kissat_like, solve_cnf
 
 
@@ -83,7 +83,7 @@ class TestRunPipeline:
 
 class TestPipelineComparison:
     def test_accumulates_totals(self):
-        comparison = PipelineComparison()
+        comparison = RunSet()
         instance = _sat_instance()
         for name in PIPELINES:
             comparison.add(run_pipeline(instance, name))

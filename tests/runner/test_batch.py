@@ -215,6 +215,7 @@ class TestProofTasks:
     def test_proof_tasks_bypass_cache_both_ways(self, tmp_path):
         """A cached record has no proof file to offer: the run executes,
         writes a checkable proof, and is itself never persisted."""
+        from repro.cnf import read_dimacs
         from repro.cnf.tseitin import tseitin_encode
         from repro.sat.proof import check_drat_file
 
@@ -231,6 +232,9 @@ class TestProofTasks:
         outcome = check_drat_file(tseitin_encode(proved.aig()),
                                   str(proof_file))
         assert outcome.valid, outcome.reason
+        # The refuted CNF is written beside the proof.
+        sibling = read_dimacs(str(proof_file) + ".cnf")
+        assert check_drat_file(sibling, str(proof_file)).valid
         assert len(ResultStore(path)) == 1  # the proof run is not cached
         # The plain task still hits the original record.
         replay = BatchRunner(jobs=1, store=ResultStore(path)).run([plain])

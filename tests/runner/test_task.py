@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.benchgen import adder_equivalence_miter
 from repro.rl import RandomAgent
 from repro.runner import Task, TaskError, default_hard_timeout, resolve_pipeline_kwargs
 from repro.sat import kissat_like
@@ -62,6 +63,48 @@ class TestFingerprint:
                              pipeline_kwargs={"agent": RandomAgent(seed=0)})
         with pytest.raises(TaskError):
             task.fingerprint()
+
+
+class TestPinnedFingerprints:
+    """Literal cache keys: a change here invalidates every stored result.
+
+    Python randomises ``str`` hashing per process, so these literals also
+    hold the keys independent of ``PYTHONHASHSEED``.
+    """
+
+    @staticmethod
+    def _miter_task(pipeline, **extra):
+        return Task.from_aig(adder_equivalence_miter(3, mutated=True, seed=1),
+                             pipeline, instance_name="m", config=kissat_like(),
+                             time_limit=10.0, **extra)
+
+    def test_sequential_baseline_key(self):
+        assert self._miter_task("Baseline").fingerprint() == (
+            "c88a5ee51e6c0a425f9a4d4a2d52d364b26756855bb3f4197a41c92029201363")
+
+    def test_portfolio_ours_key(self):
+        task = self._miter_task("Ours", backend="portfolio",
+                                backend_kwargs={"num_workers": 2})
+        assert task.fingerprint() == (
+            "6b233e9b6e969153b81381e299d8e758b816966a96b63352537888993076b070")
+
+
+class TestKindFingerprints:
+    def test_each_kind_hashes_only_what_it_reads(self, adder):
+        text = Task.from_aig(adder, "Baseline").payload
+
+        def key(**fields):
+            return Task(instance_name="x", payload=text, **fields).fingerprint()
+
+        assert key(kind="preprocess") == key(
+            kind="preprocess", config=kissat_like(), time_limit=5.0,
+            backend="portfolio", mem_limit_mb=64.0)
+        assert key(kind="preprocess") != key(kind="preprocess",
+                                             pipeline="Ours")
+        assert key(kind="sweep") == key(kind="sweep", pipeline="Ours",
+                                        time_limit=5.0)
+        assert key(kind="sweep") != key(kind="sweep", config=kissat_like())
+        assert len({key(), key(kind="preprocess"), key(kind="sweep")}) == 3
 
 
 class TestSeed:

@@ -14,7 +14,7 @@ import pytest
 from repro.resilience.chaos import ChaosSpec, use_chaos
 from repro.runner.store import ShardedResultStore
 from repro.server.http import HttpServer
-from repro.server.jobs import JobSpec, execute_job
+from repro.server.jobs import execute_job, parse_job
 from repro.server.loadgen import build_workload, run_load
 from repro.server.service import AdmissionError, SolveService
 
@@ -27,7 +27,7 @@ def test_shedding_ladder_quick_smoke():
                            clock=lambda: clock_now[0])
 
     def spec(seed):
-        return JobSpec.from_json(
+        return parse_job(
             {"payload": f"p cnf 2 2\n1 {1 + seed % 2} 0\n-1 -2 0\n",
              "name": f"rung-{seed}", "time_limit": 1 + seed})
 
@@ -147,9 +147,10 @@ def test_sustained_mixed_load_acceptance(tmp_path, monkeypatch):
     for spec_dict, outcome in zip(workload, report.outcomes):
         if not outcome.ok:
             continue
-        fingerprint = JobSpec.from_json(spec_dict).fingerprint()
+        task = parse_job(spec_dict)
+        fingerprint = task.fingerprint()
         if fingerprint not in expected:
-            expected[fingerprint] = execute_job(spec_dict)["status"]
+            expected[fingerprint] = execute_job(task)["status"]
         assert outcome.status == expected[fingerprint], \
             f"{spec_dict.get('name')}: {outcome.status} != " \
             f"{expected[fingerprint]}"

@@ -5,14 +5,14 @@ import json
 
 from repro.runner.store import ShardedResultStore
 from repro.server.http import HttpServer
-from repro.server.jobs import JobSpec
+from repro.server.jobs import parse_job
 from repro.server.service import SolveService
 
 UNSAT_CNF = "p cnf 2 4\n1 2 0\n1 -2 0\n-1 2 0\n-1 -2 0\n"
 
 
 def _spec(**extra):
-    return JobSpec.from_json({"payload": UNSAT_CNF, **extra})
+    return parse_job({"payload": UNSAT_CNF, **extra})
 
 
 async def _drive(service, body):

@@ -2,7 +2,7 @@
 
 import json
 
-from repro.server.jobs import JobSpec
+from repro.server.jobs import parse_job
 from repro.server.loadgen import (LoadReport, RequestOutcome, _percentile,
                                   build_workload, main)
 
@@ -24,13 +24,13 @@ class TestBuildWorkload:
         # them via config), so distinctness is judged by fingerprint —
         # the key the server dedups on.
         workload = build_workload(12, seed=2, dup_fraction=0.0)
-        fingerprints = {JobSpec.from_json(spec).fingerprint()
+        fingerprints = {parse_job(spec).fingerprint()
                         for spec in workload}
         assert len(fingerprints) == 12
 
     def test_every_spec_passes_admission_validation(self):
         for spec in build_workload(24, seed=5):
-            JobSpec.from_json(spec)  # raises BadRequest on any bad spec
+            parse_job(spec)  # raises BadRequest on any bad spec
 
     def test_mix_is_respected(self):
         only_cnf = build_workload(10, seed=1, mix=("cnf",),

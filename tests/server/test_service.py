@@ -1,6 +1,7 @@
 """SolveService: admission, quotas, shedding ladder, supervision."""
 
 import asyncio
+from dataclasses import replace
 
 import pytest
 
@@ -8,7 +9,7 @@ from repro.cnf import write_dimacs
 from repro.benchgen import random_cnf
 from repro.resilience.chaos import ChaosSpec, use_chaos
 from repro.runner.store import ShardedResultStore, StoreError
-from repro.server.jobs import JobSpec
+from repro.server.jobs import parse_job
 from repro.server.service import AdmissionError, SolveService, TokenBucket
 
 
@@ -16,7 +17,7 @@ def _spec(seed=1, **extra):
     data = {"payload": write_dimacs(random_cnf(10, 34, seed)),
             "name": extra.pop("name", f"cnf-{seed}")}
     data.update(extra)
-    return JobSpec.from_json(data)
+    return parse_job(data)
 
 
 class FakeClock:
@@ -254,10 +255,17 @@ class TestExecution:
     def test_budget_defaults_are_applied(self):
         service = SolveService(time_limit=7.5, mem_limit_mb=256,
                                quota_burst=100)
-        job, _ = service.submit(_spec(71))
-        assert job.spec.time_limit == 7.5
-        assert job.spec.mem_limit_mb == 256
-        assert job.spec.hard_timeout is not None
+        task = _spec(71)
+        bare_key = task.fingerprint()
+        job, _ = service.submit(task)
+        assert job.task.time_limit == 7.5
+        assert job.task.mem_limit_mb == 256
+        assert job.task.hard_timeout is not None
+        # The budgets are part of the key: a key cached before they were
+        # applied must not survive.
+        assert job.fingerprint != bare_key
+        assert job.fingerprint == replace(job.task,
+                                          _fingerprint=None).fingerprint()
 
     def test_health_shape(self):
         service = SolveService(jobs=3, max_queue=10, quota_burst=100)

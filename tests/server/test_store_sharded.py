@@ -105,7 +105,7 @@ class TestLegacyMigration:
 def _hammer(root, worker, count, barrier):
     """Append ``count`` records as fast as possible (concurrency victim)."""
     store = ShardedResultStore(root)
-    barrier.wait()
+    barrier.wait(timeout=30)
     for index in range(count):
         fp = f"{(worker * count + index) % 16:x}" \
              + f"{worker:02d}{index:04d}".ljust(63, "e")[:63]
@@ -144,13 +144,14 @@ class TestTornAppends:
         """
         root = tmp_path / "store"
         ctx = multiprocessing.get_context("fork")
-        barrier = ctx.Barrier(3)
+        # Three writers plus this test wait on the barrier.
+        barrier = ctx.Barrier(4)
         workers = [ctx.Process(target=_hammer,
                                args=(root, w, 10_000, barrier))
                    for w in range(3)]
         for proc in workers:
             proc.start()
-        barrier.wait()  # writers are mid-hammer right now
+        barrier.wait(timeout=30)  # writers are mid-hammer right now
         time.sleep(0.05)
         for proc in workers:
             os.kill(proc.pid, signal.SIGKILL)
