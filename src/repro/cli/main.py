@@ -36,6 +36,7 @@ from repro.obs import (
 from repro.resilience import RetryPolicy, Supervisor, Watchdog, use_watchdog
 from repro.sat.backends import (
     BACKEND_NAMES,
+    PORTFOLIO_NAME,
     FallbackBackend,
     InternalBackend,
     PortfolioBackend,
@@ -43,6 +44,7 @@ from repro.sat.backends import (
     ensure_available,
     fold_portfolio_flags,
     get_backend,
+    is_internal,
     resolve_backend,
 )
 from repro.sat.configs import CONFIG_PRESETS
@@ -191,9 +193,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
     # helper owns the validation rules for both this CLI and the runner's.
     backend_name, backend_kwargs = fold_portfolio_flags(
         args.backend, args.portfolio, args.cube_depth, args.share_clauses)
-    if args.proof is not None and backend_name not in ("internal",
-                                                       "portfolio") \
-            and not backend_kwargs and not args.fallback:
+    if args.proof is not None and not is_internal(backend_name) \
+            and backend_name != PORTFOLIO_NAME and not args.fallback:
         # External binaries cannot feed the built-in checker; fail before
         # the (potentially long) preprocessing pipeline, not after.
         raise CliError(

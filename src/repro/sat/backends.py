@@ -455,12 +455,14 @@ class PortfolioBackend:
     name = "portfolio"
 
     def __init__(self, num_workers: int | None = None, cube_depth: int = 0,
-                 seed: int = 0, heuristic: str = "occurrence",
-                 share_clauses: bool = False) -> None:
+                 seed: int = 0, share_clauses: bool = False) -> None:
         from repro.sat.portfolio import DEFAULT_NUM_WORKERS, MAX_CUBE_DEPTH
 
         if num_workers is None:
             num_workers = DEFAULT_NUM_WORKERS
+        if not isinstance(num_workers, int) \
+                or not isinstance(cube_depth, int):
+            raise BackendError("num_workers and cube_depth must be integers")
         if num_workers < 1:
             raise BackendError("portfolio backend needs at least one worker")
         if not 0 <= cube_depth <= MAX_CUBE_DEPTH:
@@ -474,7 +476,6 @@ class PortfolioBackend:
         self.num_workers = num_workers
         self.cube_depth = cube_depth
         self.seed = seed
-        self.heuristic = heuristic
         self.share_clauses = share_clauses
 
     def available(self) -> bool:
@@ -494,7 +495,7 @@ class PortfolioBackend:
             detailed = solve_cube_and_conquer(
                 cnf, cube_depth=self.cube_depth,
                 num_workers=self.num_workers, config=config,
-                heuristic=self.heuristic, seed=seed, time_limit=time_limit,
+                seed=seed, time_limit=time_limit,
                 max_conflicts=max_conflicts, max_decisions=max_decisions,
                 assumptions=assumptions, proof=proof)
         else:
@@ -646,12 +647,12 @@ def get_backend(name: str, binary: str | None = None,
 
     ``internal`` / ``cdcl`` return the built-in solver; ``portfolio``
     returns a :class:`PortfolioBackend` (``kwargs`` — ``num_workers``,
-    ``cube_depth``, ``seed``, ``heuristic`` — configure it); any other name
-    returns a :class:`SubprocessBackend` for that solver binary (``binary``
-    overrides PATH lookup).  Construction never probes the machine — a
-    missing external binary only fails once the backend solves (or
-    :func:`ensure_available` is called), so backends can be configured on
-    hosts that do not have them.
+    ``cube_depth``, ``seed``, ``share_clauses`` — configure it); any other
+    name returns a :class:`SubprocessBackend` for that solver binary
+    (``binary`` overrides PATH lookup).  Construction never probes the
+    machine — a missing external binary only fails once the backend solves
+    (or :func:`ensure_available` is called), so backends can be configured
+    on hosts that do not have them.
     """
     if name == PORTFOLIO_NAME:
         if binary is not None:
@@ -740,8 +741,8 @@ def resolve_backend(backend: str | SolverBackend | None,
     """Normalise a backend argument: name, instance or None (the default).
 
     ``kwargs`` configure name-addressed backends (currently the portfolio
-    backend's ``num_workers``/``cube_depth``/``seed``/``heuristic``) and are
-    rejected for instances, whose configuration is already fixed.
+    backend's ``num_workers``/``cube_depth``/``seed``/``share_clauses``)
+    and are rejected for instances, whose configuration is already fixed.
     """
     if backend is None:
         backend = DEFAULT_BACKEND

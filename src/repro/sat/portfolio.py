@@ -25,7 +25,12 @@ pieces the sequential stack already provides:
   UNSAT; a cube that is UNSAT *independently of its cube literals* (final
   conflict core free of split variables) short-circuits the whole run.
 
-Both entry points return a :class:`PortfolioResult`: the winning
+Both modes run on one engine: one worker body (:func:`_cube_worker`, an
+incremental session conquering a list of cubes) and one parent-side driver
+(:func:`_drive`).  A racing worker is the special case of a worker whose
+share is the single empty cube ``[[]]`` — the whole formula — so the two
+public entry points only build their configurations and cube shares.  Both
+return a :class:`PortfolioResult`: the winning
 :class:`repro.sat.solver.SolveResult` plus per-worker outcomes and the
 wall-clock time.  Everything is deterministic *in verdict* — SAT/UNSAT is a
 property of the formula and every worker is sound — but the winning worker,
@@ -50,13 +55,14 @@ Worker death is a routine event, not a failure mode: a race with K dead
 workers still returns the first decisive verdict from the survivors, a
 failed ``fork``/``spawn`` only sheds that worker (reported as
 ``SPAWN_FAILED``), and when *every* worker is lost on the multiprocess
-path the run degrades to one in-process sequential solve as the last rung
-of the degradation ladder (``sequential_fallback=False`` restores the old
-raise).  All of it is counted on the active tracer
-(``resilience.worker_deaths`` / ``resilience.spawn_failures`` /
-``resilience.fallbacks``) and the deterministic chaos harness
-(:mod:`repro.resilience.chaos`) can kill specific workers at specific
-conflict counts to exercise these paths in tests.
+path the run degrades to one in-process sequential solve of the unsplit
+formula as the last rung of the degradation ladder; only when that solve
+fails too does the run raise :class:`SolverError`.  All of it is counted
+on the active tracer (``resilience.worker_deaths`` /
+``resilience.spawn_failures`` / ``resilience.fallbacks``) and the
+deterministic chaos harness (:mod:`repro.resilience.chaos`) can kill
+specific workers at specific conflict counts to exercise these paths in
+tests.
 """
 
 from __future__ import annotations
@@ -69,7 +75,7 @@ import shutil
 import tempfile
 import time
 from dataclasses import dataclass, field, replace
-from queue import Empty
+from queue import Empty, SimpleQueue
 
 from repro.cnf.cnf import Cnf
 from repro.errors import SolverError, is_transient
@@ -182,23 +188,18 @@ def diversified_configs(num_workers: int,
 # --------------------------------------------------------------------- #
 
 
-def cube_split_variables(cnf: Cnf, depth: int,
-                         heuristic: str = "occurrence") -> list[int]:
+def cube_split_variables(cnf: Cnf, depth: int) -> list[int]:
     """Pick ``depth`` branching variables for cube splitting.
 
-    ``occurrence`` scores each variable by a Jeroslow–Wang-weighted
-    occurrence count (occurrences in short clauses count exponentially
-    more), a cheap static proxy for the lookahead/VSIDS scores real
-    cube-and-conquer solvers use; ``plain`` uses unweighted occurrence
-    counts.  Ties break towards the smaller variable index, so the split is
+    Each variable is scored by a Jeroslow–Wang-weighted occurrence count
+    (occurrences in short clauses count exponentially more), a cheap static
+    proxy for the lookahead/VSIDS scores real cube-and-conquer solvers use.
+    Ties break towards the smaller variable index, so the split is
     deterministic.
     """
-    if heuristic not in ("occurrence", "plain"):
-        raise SolverError(f"unknown cube heuristic {heuristic!r}")
     scores = [0.0] * (cnf.num_vars + 1)
     for clause in cnf.clauses:
-        weight = 2.0 ** -min(len(clause), 25) if heuristic == "occurrence" \
-            else 1.0
+        weight = 2.0 ** -min(len(clause), 25)
         for literal in clause:
             var = abs(literal)
             if var <= cnf.num_vars:
@@ -350,51 +351,21 @@ def _install_worker_hooks(solver: CdclSolver, tracer, index: int) -> None:
     solver.set_progress(hook, interval=interval)
 
 
-def _race_worker(index: int, cnf: Cnf, config: SolverConfig,
-                 time_limit: float | None, max_conflicts: int | None,
-                 max_decisions: int | None, assumptions: list[int] | None,
-                 queue, trace_path=None, endpoint=None,
-                 lemma_path=None) -> None:
-    start = time.perf_counter()
-    tracer = _worker_tracer(trace_path, index)
-    stream = LemmaStream(lemma_path, worker=index) \
-        if lemma_path is not None else None
-    try:
-        solver = CdclSolver(cnf, config=config)
-        _install_worker_hooks(solver, tracer, index)
-        if stream is not None:
-            solver.set_proof(stream)
-        if endpoint is not None:
-            endpoint.attach(solver, stream)
-        with tracer.span("worker_solve", config=config.name,
-                         index=index) as span:
-            result = solver.solve(
-                max_conflicts=max_conflicts, max_decisions=max_decisions,
-                time_limit=time_limit, assumptions=assumptions)
-            span.set(status=result.status,
-                     conflicts=result.stats.conflicts)
-        queue.put({"kind": "result", "index": index, "status": result.status,
-                   "model": result.model, "core": result.core,
-                   "stats": result.stats,
-                   "elapsed": time.perf_counter() - start})
-    except Exception as exc:
-        # Anything escaping a worker must travel over the queue (losing it
-        # would look like a silent death to the parent); the transience
-        # classification rides along so the parent can retry sensibly.
-        queue.put({"kind": "error", "index": index, "error": repr(exc),
-                   "transient": is_transient(exc),
-                   "elapsed": time.perf_counter() - start})
-    finally:
-        if stream is not None:
-            stream.close()
-        tracer.close()
-
-
 def _cube_worker(index: int, cnf: Cnf, config: SolverConfig,
                  cubes: list[list[int]], time_limit: float | None,
                  max_conflicts: int | None, max_decisions: int | None,
-                 assumptions: list[int] | None, queue,
-                 trace_path=None, lemma_path=None) -> None:
+                 assumptions: list[int] | None, queue, trace_path=None,
+                 lemma_path=None, endpoint=None) -> None:
+    """Conquer ``cubes`` on one incremental solver session.
+
+    Any SAT cube decides the formula, and so does an UNSAT cube whose
+    final-conflict core avoids every split variable; otherwise the worker
+    reports its share ``exhausted`` with one status per cube.  A racing
+    worker (and the last resort) is the ``cubes == [[]]`` case: the empty
+    cube is the whole formula, so its solve's verdict — ``UNKNOWN`` on an
+    exhausted budget included — is the worker's.  ``endpoint`` attaches
+    the clause bus when sharing is on.
+    """
     start = time.perf_counter()
     base_assumptions = list(assumptions or [])
     cube_vars = {abs(literal) for cube in cubes for literal in cube}
@@ -411,10 +382,13 @@ def _cube_worker(index: int, cnf: Cnf, config: SolverConfig,
         _install_worker_hooks(solver, tracer, index)
         if stream is not None:
             solver.set_proof(stream)
+        if endpoint is not None:
+            endpoint.attach(solver, stream)
         worker_span = tracer.span("worker_solve", config=config.name,
                                   index=index, cubes=len(cubes))
         with worker_span:
             statuses: list[str] = []
+            verdict, result = "EXHAUSTED", None
             for cube in cubes:
                 remaining = None
                 if deadline is not None:
@@ -431,47 +405,40 @@ def _cube_worker(index: int, cnf: Cnf, config: SolverConfig,
                                           assumptions=base_assumptions + cube)
                     cube_span.set(status=result.status)
                 completed += 1
-                if result.status == "SAT":
-                    worker_span.set(status="SAT", cubes_solved=completed)
-                    queue.put({"kind": "result", "index": index,
-                               "status": "SAT",
-                               "model": result.model, "core": None,
-                               "stats": solver.stats,
-                               "cubes_solved": completed,
-                               "elapsed": time.perf_counter() - start})
-                    return
-                if result.status == "UNSAT":
-                    core_vars = {abs(literal)
-                                 for literal in result.core or []}
-                    if not core_vars & cube_vars:
-                        # The final-conflict core avoids every split
-                        # variable: the formula (under the caller's
-                        # assumptions alone) is UNSAT, independent of the
-                        # remaining cubes.
-                        worker_span.set(status="UNSAT",
-                                        cubes_solved=completed)
-                        queue.put({"kind": "result", "index": index,
-                                   "status": "UNSAT", "model": None,
-                                   "core": result.core,
-                                   "stats": solver.stats,
-                                   "cubes_solved": completed,
-                                   "elapsed": time.perf_counter() - start})
-                        return
-                    if stream is not None and result.core:
-                        # Log this cube's refutation: the negated
-                        # failed-assumption core is RUP right here (it is
-                        # the final conflict analysis over the cube
-                        # literals), and as a subset of the negated cube it
-                        # lets the parent's prefix-tree glue lemmas close
-                        # an all-UNSAT run (see cube_prefix_clauses).
-                        stream.add_clause(tuple(-literal
-                                                for literal in result.core))
+                core_vars = {abs(literal) for literal in result.core or []}
+                if result.status == "SAT" or (result.status == "UNSAT"
+                                              and not core_vars & cube_vars):
+                    # A core free of split variables refutes the formula
+                    # (under the caller's assumptions alone), independent
+                    # of the remaining cubes.
+                    verdict = result.status
+                    break
+                if stream is not None and result.core:
+                    # Log this cube's refutation: the negated
+                    # failed-assumption core is RUP right here (it is the
+                    # final conflict analysis over the cube literals), and
+                    # as a subset of the negated cube it lets the parent's
+                    # prefix-tree glue lemmas close an all-UNSAT run (see
+                    # cube_prefix_clauses).
+                    stream.add_clause(tuple(-literal
+                                            for literal in result.core))
                 statuses.append(result.status)
-            worker_span.set(status="EXHAUSTED", cubes_solved=completed)
-        queue.put({"kind": "exhausted", "index": index, "statuses": statuses,
+            if verdict == "EXHAUSTED" and not cube_vars:
+                verdict = "UNKNOWN"
+            worker_span.set(status=verdict, cubes_solved=completed,
+                            conflicts=solver.stats.conflicts)
+        decided = verdict in ("SAT", "UNSAT")
+        queue.put({"kind": "exhausted" if verdict == "EXHAUSTED"
+                   else "result", "index": index, "status": verdict,
+                   "statuses": statuses,
+                   "model": result.model if decided else None,
+                   "core": result.core if decided else None,
                    "stats": solver.stats, "cubes_solved": completed,
                    "elapsed": time.perf_counter() - start})
     except Exception as exc:
+        # Anything escaping a worker must travel over the queue (losing it
+        # would look like a silent death to the parent); the transience
+        # classification rides along so the parent can retry sensibly.
         queue.put({"kind": "error", "index": index, "error": repr(exc),
                    "transient": is_transient(exc),
                    "stats": solver.stats if solver is not None else None,
@@ -482,14 +449,13 @@ def _cube_worker(index: int, cnf: Cnf, config: SolverConfig,
         tracer.close()
 
 
-class _InlineQueue:
-    """Message sink for the in-process (num_workers == 1) fast path."""
-
-    def __init__(self) -> None:
-        self.messages: list[dict] = []
-
-    def put(self, message: dict) -> None:
-        self.messages.append(message)
+def _run_inline(index: int, args: tuple, trace_path=None,
+                lemma_path=None) -> dict:
+    """Run one worker body in this process and return its message."""
+    inline = SimpleQueue()
+    _cube_worker(index, *args, inline, trace_path=trace_path,
+                 lemma_path=lemma_path)
+    return inline.get_nowait()
 
 
 # --------------------------------------------------------------------- #
@@ -497,11 +463,17 @@ class _InlineQueue:
 # --------------------------------------------------------------------- #
 
 
-def _collect(procs: list, queue, decisive, time_limit: float | None,
-             pending: set[int] | None = None, pump=None):
+def _decisive(message: dict) -> bool:
+    """A SAT or UNSAT verdict for the whole formula ends the run."""
+    return message["kind"] == "result" \
+        and message["status"] in ("SAT", "UNSAT")
+
+
+def _collect(procs: list, queue, time_limit: float | None,
+             pending: set[int], pump=None) -> dict[int, dict]:
     """Await worker messages until one is decisive or all have reported.
 
-    Returns ``(messages, winner_message)``; the caller terminates whatever
+    Returns the messages by worker index; the caller terminates whatever
     is still running.  ``pending`` restricts the wait to the workers that
     actually started (spawn failures never report).  A worker that dies
     without a message is recorded as a transient error — and counted on
@@ -512,7 +484,7 @@ def _collect(procs: list, queue, decisive, time_limit: float | None,
     cadence without a dedicated thread.
     """
     messages: dict[int, dict] = {}
-    pending = set(range(len(procs))) if pending is None else set(pending)
+    pending = set(pending)
     silent_dead: dict[int, int] = {}
     tracer = get_tracer()
     deadline = (time.monotonic() + time_limit + _KILL_GRACE
@@ -546,9 +518,9 @@ def _collect(procs: list, queue, decisive, time_limit: float | None,
         messages[index] = message
         pending.discard(index)
         silent_dead.pop(index, None)
-        if decisive(message):
-            return messages, message
-    return messages, None
+        if _decisive(message):
+            break
+    return messages
 
 
 def _start_workers(procs: list) -> tuple[list[int], dict[int, dict]]:
@@ -621,12 +593,8 @@ def _worker_reports(configs: list[SolverConfig],
                 solve_time=message.get("elapsed", 0.0),
                 stats=message.get("stats"), error=message["error"]))
             continue
-        if message["kind"] == "exhausted":
-            status = "EXHAUSTED"
-        else:
-            status = message["status"]
         reports.append(WorkerReport(
-            index=index, config_name=config.name, status=status,
+            index=index, config_name=config.name, status=message["status"],
             solve_time=message.get("elapsed", 0.0),
             stats=message.get("stats"),
             cubes_solved=message.get("cubes_solved", 0)))
@@ -678,8 +646,8 @@ def _raise_if_all_workers_failed(configs: list[SolverConfig],
         raise SolverError(f"every portfolio worker failed: {details}")
 
 
-def _last_resort_message(worker, index: int, args: tuple,
-                         lemma_path=None) -> dict | None:
+def _last_resort_message(index: int, args: tuple,
+                         lemma_path=None) -> dict:
     """The bottom rung of the degradation ladder: one in-process solve.
 
     Used when every multiprocess worker was lost (all crashed, or the host
@@ -692,9 +660,7 @@ def _last_resort_message(worker, index: int, args: tuple,
     tracer.event("sequential_fallback")
     logger.warning("every portfolio worker was lost; degrading to one "
                    "in-process sequential solve")
-    inline = _InlineQueue()
-    worker(index, *args, inline, trace_path=None, lemma_path=lemma_path)
-    return inline.messages[0] if inline.messages else None
+    return _run_inline(index, args, lemma_path=lemma_path)
 
 
 def _worker_trace_paths(tracer, count: int):
@@ -743,32 +709,165 @@ def _skip_proof(reason: str) -> None:
     logger.warning("proof skipped: %s", reason)
 
 
-def _compose_proof(proof: str, lemma_paths, tail=()) -> str | None:
-    """Merge the workers' lemma streams into one DRAT file at ``proof``.
+def _compose_proof(proof: str, result: SolveResult, lemma_paths,
+                   tail=()) -> str | None:
+    """Write the merged DRAT proof of ``result`` at ``proof``, or remove it.
 
-    Reads every stream file that exists (a worker that never started left
-    no file — and exported nothing, so nothing can reference its lemmas),
-    merge-sorts by Lamport stamp so every lemma follows its antecedents,
-    and appends ``tail`` (the cube-tree glue clauses; empty for races).
-    Returns the path on success, ``None`` — with a warning — when the
-    merged streams never derive the empty clause (the winner was killed
-    before its final flush, for example).
+    A formula-level UNSAT verdict (empty core) is proved by merge-sorting
+    the lemma streams in ``lemma_paths`` by Lamport stamp, so every lemma
+    follows its antecedents, and appending ``tail`` (the cube-tree glue
+    clauses of an all-cubes-UNSAT run).  A worker that never started left
+    no file, and exported nothing, so nothing can reference its lemmas.
+    Every other outcome — no UNSAT, assumption-level UNSAT, or merged
+    streams that never derive the empty clause because the winner was
+    killed before its final flush — leaves no proof file behind: a stale
+    one from an earlier run must not outlive this verdict.  Returns the
+    path of the written proof, or ``None``.
     """
-    streams = []
-    for path in lemma_paths:
-        if path is None or not os.path.exists(path):
-            continue
+    reason = ""
+    if result.status != "UNSAT":
+        pass
+    elif result.core:
+        reason = ("assumption-level UNSAT (non-empty core) has no "
+                  "formula-level refutation")
+    else:
         try:
-            streams.append(read_lemma_stream(path))
+            streams = [read_lemma_stream(path) for path in lemma_paths
+                       if path is not None and os.path.exists(path)]
         except ProofError as error:  # pragma: no cover - defensive
-            _skip_proof(f"unreadable lemma stream: {error}")
-            return None
-    clauses = list(merge_lemma_streams(streams)) + list(tail)
-    if not any(len(clause) == 0 for clause in clauses):
-        _skip_proof("merged lemma streams never derive the empty clause")
-        return None
-    write_drat_file(proof, clauses)
-    return proof
+            reason = f"unreadable lemma stream: {error}"
+        else:
+            clauses = list(merge_lemma_streams(streams)) + list(tail)
+            if any(len(clause) == 0 for clause in clauses):
+                write_drat_file(proof, clauses)
+                return proof
+            reason = "merged lemma streams never derive the empty clause"
+    if reason:
+        _skip_proof(reason)
+    try:
+        os.remove(proof)
+    except OSError:
+        pass
+    return None
+
+
+def _drive(mode: str, cnf: Cnf, configs: list[SolverConfig],
+           shares: list[list[list[int]]], limits: tuple,
+           assumptions: list[int] | None, proof: str | None,
+           share: SharingConfig | None = None, refutation=None,
+           **attrs) -> PortfolioResult:
+    """Run one worker per config over its cube share and settle the verdict.
+
+    The one engine behind both public entry points.  A single worker runs
+    in-process; more are forked, with spawn failures shed and a clause bus
+    pumped while polling when ``share`` is set.  The first decisive message
+    wins and the rest are terminated.  When every multiprocess worker is
+    lost, one in-process unsplit solve is the last resort.  Without a
+    decisive message, ``refutation(messages)`` may return the glue clauses
+    that close an all-UNSAT split, which makes the verdict UNSAT; the
+    verdict is ``UNKNOWN`` otherwise.  ``attrs`` annotate the ``mode`` span.
+    """
+    start = time.perf_counter()
+    tracer = get_tracer()
+    with tracer.span(mode, workers=len(configs), **attrs) as span:
+        trace_dir, trace_paths = _worker_trace_paths(tracer, len(configs))
+        # One lemma path more than workers: the last resort's.
+        lemma_dir, lemma_paths = _worker_lemma_paths(proof, len(configs) + 1)
+        sharing_counters: dict[str, int] | None = None
+        messages: dict[int, dict] = {}
+        try:
+            try:
+                if len(configs) == 1:
+                    messages[0] = _run_inline(
+                        0, (cnf, configs[0], shares[0], *limits, assumptions),
+                        trace_path=trace_paths[0], lemma_path=lemma_paths[0])
+                else:
+                    context = _mp_context()
+                    queue = context.Queue()
+                    bus = ClauseBus(len(configs), share, context) \
+                        if share is not None else None
+                    procs = [context.Process(
+                        target=_cube_worker,
+                        args=(index, cnf, config, shares[index], *limits,
+                              assumptions, queue, trace_paths[index],
+                              lemma_paths[index],
+                              bus.endpoint(index) if bus is not None
+                              else None),
+                        daemon=False)
+                        for index, config in enumerate(configs)]
+                    # start() runs inside the try so that a caller's
+                    # hard-timeout alarm firing in the start window still
+                    # terminates the workers already running.
+                    try:
+                        started, messages = _start_workers(procs)
+                        if started:
+                            messages.update(_collect(
+                                procs, queue, limits[0], set(started),
+                                pump=bus.pump if bus is not None else None))
+                    finally:
+                        if bus is not None:
+                            bus.pump()
+                            bus.publish_metrics()
+                            sharing_counters = bus.counters()
+                        _shutdown(procs, queue)
+                        if bus is not None:
+                            bus.close()
+            finally:
+                _absorb_worker_traces(tracer, span, trace_dir, trace_paths)
+
+            if len(configs) > 1 and _all_workers_failed(configs, messages):
+                # A lost cube partition cannot be recovered either, so the
+                # last resort always solves the whole, unsplit formula.
+                configs = configs + [replace(
+                    configs[0], name=f"{configs[0].name}+seq-fallback")]
+                fallback_index = len(configs) - 1
+                messages[fallback_index] = _last_resort_message(
+                    fallback_index,
+                    (cnf, configs[-1], [[]], *limits, assumptions),
+                    lemma_path=lemma_paths[fallback_index])
+
+            wall_time = time.perf_counter() - start
+            reports = _worker_reports(configs, messages)
+            winner = next((message for message in messages.values()
+                           if _decisive(message)), None)
+            tail = None
+            if winner is not None:
+                result = _winning_result(winner)
+                winner_name = configs[winner["index"]].name
+            else:
+                _raise_if_all_workers_failed(configs, messages)
+                if refutation is not None:
+                    tail = refutation(messages)
+                # An all-UNSAT split refutes the formula under the caller's
+                # assumptions: without any, the core is empty (formula-level
+                # UNSAT, the sequential solver's convention); with some,
+                # only the trivial core is known (cube cores name cube
+                # literals, not assumptions).
+                result = SolveResult(
+                    status="UNKNOWN" if tail is None else "UNSAT",
+                    model=None, stats=_aggregate_stats(reports, wall_time),
+                    core=None if tail is None else list(assumptions or []))
+                winner_name = None
+
+            proof_path = None
+            if proof is not None:
+                # Without sharing the winner's own stream is a complete
+                # refutation; with sharing its antecedents may live in any
+                # stream, and the glue lemmas of an all-UNSAT split
+                # reference every worker's cube refutations.
+                paths = lemma_paths if winner is None or share is not None \
+                    else [lemma_paths[winner["index"]]]
+                proof_path = _compose_proof(proof, result, paths,
+                                            tail or ())
+        finally:
+            if lemma_dir is not None:
+                shutil.rmtree(lemma_dir, ignore_errors=True)
+        span.set(status=result.status, winner=winner_name)
+    logger.info("%s: %s in %.3f s (winner: %s)", mode, result.status,
+                wall_time, winner_name)
+    return PortfolioResult(result=result, mode=mode, winner=winner_name,
+                           workers=reports, wall_time=wall_time,
+                           proof=proof_path, sharing=sharing_counters)
 
 
 def solve_portfolio(cnf: Cnf, num_workers: int = DEFAULT_NUM_WORKERS,
@@ -778,7 +877,6 @@ def solve_portfolio(cnf: Cnf, num_workers: int = DEFAULT_NUM_WORKERS,
                     max_conflicts: int | None = None,
                     max_decisions: int | None = None,
                     assumptions: list[int] | None = None,
-                    sequential_fallback: bool = True,
                     sharing: SharingConfig | bool | None = None,
                     proof: str | None = None) -> PortfolioResult:
     """Race diversified solver configurations on ``cnf``; first verdict wins.
@@ -801,9 +899,9 @@ def solve_portfolio(cnf: Cnf, num_workers: int = DEFAULT_NUM_WORKERS,
 
     Dead workers only shrink the race: crashed or unspawnable workers are
     reported (``ERROR``/``SPAWN_FAILED``) while the survivors decide.  When
-    *all* multiprocess workers are lost and ``sequential_fallback`` is on,
-    one in-process sequential solve runs as the last resort; with the
-    fallback off (or also failing) the run raises :class:`SolverError`.
+    *all* multiprocess workers are lost, one in-process sequential solve
+    runs as the last resort; if that fails too the run raises
+    :class:`SolverError`.
     """
     if configs is None:
         configs = diversified_configs(num_workers, base=base_config, seed=seed)
@@ -811,141 +909,22 @@ def solve_portfolio(cnf: Cnf, num_workers: int = DEFAULT_NUM_WORKERS,
         raise SolverError("a portfolio needs at least one configuration")
     share = None if not sharing else \
         (SharingConfig() if sharing is True else sharing)
-    start = time.perf_counter()
-    tracer = get_tracer()
     logger.info("portfolio: racing %d workers on %d vars / %d clauses",
                 len(configs), cnf.num_vars, len(cnf.clauses))
-
-    def decisive(message: dict) -> bool:
-        return message["kind"] == "result" \
-            and message["status"] in ("SAT", "UNSAT")
-
-    with tracer.span("portfolio", workers=len(configs),
-                     num_vars=cnf.num_vars) as span:
-        trace_dir, trace_paths = _worker_trace_paths(tracer, len(configs))
-        lemma_dir, lemma_paths = _worker_lemma_paths(proof, len(configs))
-        sharing_counters: dict[str, int] | None = None
-        try:
-            if len(configs) == 1:
-                inline = _InlineQueue()
-                _race_worker(0, cnf, configs[0], time_limit, max_conflicts,
-                             max_decisions, assumptions, inline,
-                             trace_path=trace_paths[0],
-                             lemma_path=lemma_paths[0])
-                messages = {0: inline.messages[0]}
-                winner = inline.messages[0] \
-                    if decisive(inline.messages[0]) else None
-            else:
-                context = _mp_context()
-                queue = context.Queue()
-                bus = ClauseBus(len(configs), share, context) \
-                    if share is not None else None
-                procs = [context.Process(
-                    target=_race_worker,
-                    args=(index, cnf, config, time_limit, max_conflicts,
-                          max_decisions, assumptions, queue,
-                          trace_paths[index],
-                          bus.endpoint(index) if bus is not None else None,
-                          lemma_paths[index]),
-                    daemon=False)
-                    for index, config in enumerate(configs)]
-                # start() runs inside the try so that a caller's
-                # hard-timeout alarm firing in the start window still
-                # terminates the workers already running.
-                try:
-                    started, spawn_failed = _start_workers(procs)
-                    if started:
-                        messages, winner = _collect(
-                            procs, queue, decisive, time_limit,
-                            pending=set(started),
-                            pump=bus.pump if bus is not None else None)
-                    else:
-                        messages, winner = {}, None
-                    messages.update(spawn_failed)
-                finally:
-                    if bus is not None:
-                        bus.pump()
-                        bus.publish_metrics()
-                        sharing_counters = bus.counters()
-                    _shutdown(procs, queue)
-                    if bus is not None:
-                        bus.close()
-        finally:
-            _absorb_worker_traces(tracer, span, trace_dir, trace_paths)
-
-        try:
-            if winner is None and sequential_fallback and len(configs) > 1 \
-                    and _all_workers_failed(configs, messages):
-                fallback_config = replace(
-                    configs[0], name=f"{configs[0].name}+seq-fallback")
-                configs = configs + [fallback_config]
-                fallback_index = len(configs) - 1
-                fallback_lemma = os.path.join(lemma_dir, "fallback.lemmas") \
-                    if lemma_dir is not None else None
-                lemma_paths = lemma_paths + [fallback_lemma]
-                message = _last_resort_message(
-                    _race_worker, fallback_index,
-                    (cnf, fallback_config, time_limit, max_conflicts,
-                     max_decisions, assumptions), lemma_path=fallback_lemma)
-                if message is not None:
-                    messages[fallback_index] = message
-                    if decisive(message):
-                        winner = message
-
-            wall_time = time.perf_counter() - start
-            winner_index = winner["index"] if winner else None
-            reports = _worker_reports(configs, messages)
-            if winner is not None:
-                result = _winning_result(winner)
-                winner_name = configs[winner_index].name
-            else:
-                _raise_if_all_workers_failed(configs, messages)
-                result = SolveResult(
-                    status="UNKNOWN", model=None,
-                    stats=_aggregate_stats(reports, wall_time))
-                winner_name = None
-
-            proof_path = None
-            if proof is not None and result.status == "UNSAT":
-                if result.core == []:
-                    # Without sharing the winner's own stream is a complete
-                    # refutation; with sharing its antecedents may live in
-                    # any stream, so all of them are merged.
-                    paths = lemma_paths if share is not None \
-                        else [lemma_paths[winner_index]]
-                    proof_path = _compose_proof(proof, paths)
-                else:
-                    _skip_proof("assumption-level UNSAT (non-empty core) "
-                                "has no formula-level refutation")
-            if proof is not None and proof_path is None:
-                # No valid proof means no proof file — a stale one from an
-                # earlier run must not outlive this verdict.
-                try:
-                    os.remove(proof)
-                except OSError:
-                    pass
-        finally:
-            if lemma_dir is not None:
-                shutil.rmtree(lemma_dir, ignore_errors=True)
-        span.set(status=result.status, winner=winner_name)
-    logger.info("portfolio: %s in %.3f s (winner: %s)",
-                result.status, wall_time, winner_name)
-    return PortfolioResult(result=result, mode="portfolio",
-                           winner=winner_name, workers=reports,
-                           wall_time=wall_time, proof=proof_path,
-                           sharing=sharing_counters)
+    # Every racing worker conquers the one empty cube: the whole formula.
+    return _drive("portfolio", cnf, configs, [[[]]] * len(configs),
+                  (time_limit, max_conflicts, max_decisions), assumptions,
+                  proof, share=share, num_vars=cnf.num_vars)
 
 
 def solve_cube_and_conquer(cnf: Cnf, cube_depth: int = 4,
                            num_workers: int = DEFAULT_NUM_WORKERS,
                            config: SolverConfig | None = None,
-                           heuristic: str = "occurrence", seed: int = 0,
-                           time_limit: float | None = None,
+                           seed: int = 0, time_limit: float | None = None,
                            max_conflicts: int | None = None,
                            max_decisions: int | None = None,
                            assumptions: list[int] | None = None,
                            variables: list[int] | None = None,
-                           sequential_fallback: bool = True,
                            proof: str | None = None) -> PortfolioResult:
     """Split ``cnf`` into ``2**cube_depth`` cubes and conquer them in parallel.
 
@@ -961,7 +940,7 @@ def solve_cube_and_conquer(cnf: Cnf, cube_depth: int = 4,
     pluggable, as in real cube-and-conquer solvers); callers with structural
     knowledge — e.g. the primary-input variables of a circuit encoding,
     which decompose the circuit into constant-propagated slices — pass it
-    directly and ``cube_depth``/``heuristic`` only cap the list length.
+    directly and ``cube_depth`` only caps the list length.
 
     ``proof`` requests a DRAT proof.  A short-circuit formula-level UNSAT
     (final core free of split *and* assumption literals) uses the deciding
@@ -974,9 +953,9 @@ def solve_cube_and_conquer(cnf: Cnf, cube_depth: int = 4,
     warning (``PortfolioResult.proof`` stays ``None``).
 
     Worker loss degrades like :func:`solve_portfolio`: when every
-    multiprocess worker is gone and ``sequential_fallback`` is on, the run
-    drops to one in-process *unsplit* solve (the conflict/decision budgets,
-    per-cube until then, then bound that single solve).
+    multiprocess worker is gone, the run drops to one in-process *unsplit*
+    solve (the conflict/decision budgets, per-cube until then, then bound
+    that single solve).
     """
     if cube_depth < 1:
         raise SolverError("cube_depth must be at least 1 "
@@ -992,153 +971,32 @@ def solve_cube_and_conquer(cnf: Cnf, cube_depth: int = 4,
                 raise SolverError(f"split variable {var} out of range")
         variables = list(variables)[:cube_depth]
     else:
-        variables = cube_split_variables(cnf, cube_depth, heuristic=heuristic)
+        variables = cube_split_variables(cnf, cube_depth)
     cubes = generate_cubes(variables)
     num_workers = min(num_workers, len(cubes))
     base = config or kissat_like()
     configs = [replace(base, seed=base.seed + seed + index,
                        name=f"{base.name}#c{index}")
                for index in range(num_workers)]
-    shares = [cubes[index::num_workers] for index in range(num_workers)]
-    start = time.perf_counter()
-    tracer = get_tracer()
     logger.info("cube and conquer: %d cubes over %d workers (depth %d)",
                 len(cubes), num_workers, cube_depth)
 
-    def decisive(message: dict) -> bool:
-        return message["kind"] == "result"
+    def refutation(messages: dict[int, dict]):
+        """The glue lemmas closing the run when every cube came back
+        UNSAT (from a worker that exhausted its whole share), else None."""
+        statuses = [status for message in messages.values()
+                    if message["kind"] == "exhausted"
+                    for status in message["statuses"]]
+        if len(statuses) != len(cubes) \
+                or any(status != "UNSAT" for status in statuses):
+            return None
+        return cube_prefix_clauses([tuple(cube) for cube in cubes])
 
-    with tracer.span("cube", workers=num_workers, cubes=len(cubes),
-                     depth=cube_depth) as span:
-        trace_dir, trace_paths = _worker_trace_paths(tracer, num_workers)
-        lemma_dir, lemma_paths = _worker_lemma_paths(proof, num_workers)
-        try:
-            if num_workers == 1:
-                inline = _InlineQueue()
-                _cube_worker(0, cnf, configs[0], shares[0], time_limit,
-                             max_conflicts, max_decisions, assumptions,
-                             inline, trace_path=trace_paths[0],
-                             lemma_path=lemma_paths[0])
-                messages = {0: inline.messages[0]}
-                winner = inline.messages[0] \
-                    if decisive(inline.messages[0]) else None
-            else:
-                context = _mp_context()
-                queue = context.Queue()
-                procs = [context.Process(
-                    target=_cube_worker,
-                    args=(index, cnf, configs[index], shares[index],
-                          time_limit, max_conflicts, max_decisions,
-                          assumptions, queue, trace_paths[index],
-                          lemma_paths[index]),
-                    daemon=False)
-                    for index in range(num_workers)]
-                # start() inside the try: see solve_portfolio.
-                try:
-                    started, spawn_failed = _start_workers(procs)
-                    if started:
-                        messages, winner = _collect(procs, queue, decisive,
-                                                    time_limit,
-                                                    pending=set(started))
-                    else:
-                        messages, winner = {}, None
-                    messages.update(spawn_failed)
-                finally:
-                    _shutdown(procs, queue)
-        finally:
-            _absorb_worker_traces(tracer, span, trace_dir, trace_paths)
-
-        try:
-            if winner is None and sequential_fallback and num_workers > 1 \
-                    and _all_workers_failed(configs, messages):
-                # The cube partition is unrecoverable without its workers;
-                # degrade to one unsplit in-process solve.
-                fallback_config = replace(
-                    configs[0], name=f"{configs[0].name}+seq-fallback")
-                configs = configs + [fallback_config]
-                fallback_index = len(configs) - 1
-                fallback_lemma = os.path.join(lemma_dir, "fallback.lemmas") \
-                    if lemma_dir is not None else None
-                lemma_paths = lemma_paths + [fallback_lemma]
-                message = _last_resort_message(
-                    _race_worker, fallback_index,
-                    (cnf, fallback_config, time_limit, max_conflicts,
-                     max_decisions, assumptions), lemma_path=fallback_lemma)
-                if message is not None:
-                    messages[fallback_index] = message
-                    if message["kind"] == "result" \
-                            and message["status"] in ("SAT", "UNSAT"):
-                        winner = message
-
-            wall_time = time.perf_counter() - start
-            winner_index = winner["index"] if winner else None
-            reports = _worker_reports(configs, messages)
-
-            aggregated_unsat = False
-            if winner is not None:
-                result = _winning_result(winner)
-                winner_name = configs[winner_index].name
-            else:
-                _raise_if_all_workers_failed(configs, messages)
-                exhausted = [messages.get(index)
-                             for index in range(num_workers)]
-                all_reported = all(message is not None
-                                   and message["kind"] == "exhausted"
-                                   for message in exhausted)
-                statuses = [status for message in exhausted
-                            if message is not None
-                            for status in message.get("statuses", [])]
-                if all_reported and statuses \
-                        and all(status == "UNSAT" for status in statuses) \
-                        and sum(len(share)
-                                for share in shares) == len(statuses):
-                    # Every cube of the partition is UNSAT: the formula
-                    # (under the caller's assumptions) is UNSAT.  Without
-                    # assumptions the core is empty — formula-level UNSAT —
-                    # matching the sequential solver's convention; with
-                    # assumptions only the trivial core is known (cube cores
-                    # name cube literals, not assumptions).
-                    core = list(assumptions) if assumptions else []
-                    result = SolveResult(
-                        status="UNSAT", model=None,
-                        stats=_aggregate_stats(reports, wall_time), core=core)
-                    aggregated_unsat = True
-                else:
-                    result = SolveResult(
-                        status="UNKNOWN", model=None,
-                        stats=_aggregate_stats(reports, wall_time))
-                winner_name = None
-
-            proof_path = None
-            if proof is not None and result.status == "UNSAT":
-                if result.core != []:
-                    _skip_proof("assumption-level UNSAT (non-empty core) "
-                                "has no formula-level refutation")
-                elif aggregated_unsat:
-                    # Cube workers never share clauses, but the glue lemmas
-                    # reference refutations from every worker's share, so
-                    # all streams are merged before the prefix tree closes
-                    # the proof.
-                    proof_path = _compose_proof(
-                        proof, lemma_paths,
-                        tail=cube_prefix_clauses(
-                            [tuple(cube) for cube in cubes]))
-                else:
-                    proof_path = _compose_proof(
-                        proof, [lemma_paths[winner_index]])
-            if proof is not None and proof_path is None:
-                # See solve_portfolio: no valid proof, no proof file.
-                try:
-                    os.remove(proof)
-                except OSError:
-                    pass
-        finally:
-            if lemma_dir is not None:
-                shutil.rmtree(lemma_dir, ignore_errors=True)
-        span.set(status=result.status, winner=winner_name)
-    logger.info("cube and conquer: %s in %.3f s (winner: %s)",
-                result.status, wall_time, winner_name)
-    return PortfolioResult(result=result, mode="cube", winner=winner_name,
-                           workers=reports, wall_time=wall_time,
-                           num_cubes=len(cubes), cube_variables=variables,
-                           proof=proof_path)
+    shares = [cubes[index::num_workers] for index in range(num_workers)]
+    report = _drive("cube", cnf, configs, shares,
+                    (time_limit, max_conflicts, max_decisions), assumptions,
+                    proof, refutation=refutation, cubes=len(cubes),
+                    depth=cube_depth)
+    report.num_cubes = len(cubes)
+    report.cube_variables = variables
+    return report

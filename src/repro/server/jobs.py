@@ -41,10 +41,10 @@ from pathlib import Path
 
 from repro.aig.aiger import read_aiger, write_aiger
 from repro.core.pipeline import PIPELINE_ALIASES, PIPELINES, canonical_pipeline
-from repro.errors import ReproError
+from repro.errors import BackendError, ReproError
 from repro.runner.batch import execute_task
 from repro.runner.task import TASK_KINDS, Task
-from repro.sat.backends import BACKEND_NAMES
+from repro.sat.backends import BACKEND_NAMES, get_backend
 from repro.sat.configs import CONFIG_PRESETS
 
 __all__ = [
@@ -110,6 +110,14 @@ def parse_job(data: object) -> Task:
     for key in ("pipeline_kwargs", "backend_kwargs"):
         if not isinstance(data.get(key, {}), dict):
             raise BadRequest(f"{key} must be a JSON object")
+    if data.get("backend_kwargs"):
+        # Building the backend validates its options without probing the
+        # machine, so a bad option is refused here, not on a pool worker.
+        try:
+            get_backend(backend, **data["backend_kwargs"])
+        except (BackendError, TypeError) as error:
+            raise BadRequest(f"invalid backend_kwargs for {backend!r}: "
+                             f"{error}") from error
     limits: dict[str, float | None] = {}
     for key in ("time_limit", "hard_timeout", "mem_limit_mb"):
         value = data.get(key)

@@ -106,6 +106,14 @@ class TestSolveProofFlag:
         payload = json.loads(report.read_text())
         assert payload["proof"] == str(proof)
 
+    def test_cdcl_alias_writes_proof(self, unsat_cnf_file, tmp_path):
+        """``cdcl`` names the internal solver, so it can prove UNSAT."""
+        proof = tmp_path / "out.drat"
+        assert main(["solve", unsat_cnf_file, "--backend", "cdcl",
+                     "--proof", str(proof)]) == 20
+        assert main(["proof", "check", str(tmp_path / "out.drat.cnf"),
+                     str(proof)]) == 0
+
     def test_external_backend_rejected_before_solving(self, unsat_cnf_file,
                                                       capsys):
         code = main(["solve", unsat_cnf_file, "--backend", "kissat",

@@ -10,9 +10,11 @@ import multiprocessing
 
 import pytest
 
+import repro.sat.portfolio as portfolio_module
+from repro.errors import SolverError
 from repro.resilience.chaos import CHAOS_ENV
 from repro.sat.configs import kissat_like
-from repro.sat.portfolio import solve_portfolio
+from repro.sat.portfolio import solve_cube_and_conquer, solve_portfolio
 
 from tests.resilience.helpers import hard_cnf, harder_cnf
 
@@ -59,12 +61,28 @@ class TestWorkerDeath:
         assert result.winner is not None
         assert result.winner.endswith("+seq-fallback")
 
-    @pytest.mark.chaos
-    def test_sequential_fallback_can_be_disabled(self, monkeypatch):
-        from repro.errors import SolverError
-
+    def test_all_cube_workers_dead_degrades_to_sequential(self,
+                                                          monkeypatch):
+        """Cube mode has the same last rung: the lost partition is
+        replaced by one in-process solve of the unsplit formula."""
         monkeypatch.setenv(CHAOS_ENV, "kill_worker=0|1@50")
-        with pytest.raises(SolverError):
+        result = solve_cube_and_conquer(hard_cnf(), cube_depth=1,
+                                        num_workers=2)
+        assert result.result.status == "UNSAT"
+        assert result.winner is not None
+        assert result.winner.endswith("+seq-fallback")
+
+    def test_last_resort_crash_raises(self, monkeypatch):
+        """Every worker crashes, the in-process last resort included: the
+        run raises instead of reporting UNKNOWN."""
+        def crashing_worker(index, cnf, config, cubes, time_limit,
+                            max_conflicts, max_decisions, assumptions, queue,
+                            *args, **kwargs):
+            queue.put({"kind": "error", "index": index,
+                       "error": "RuntimeError('boom')", "elapsed": 0.0})
+
+        monkeypatch.setattr(portfolio_module, "_cube_worker",
+                            crashing_worker)
+        with pytest.raises(SolverError, match=r"\+seq-fallback: .*boom"):
             solve_portfolio(hard_cnf(), num_workers=2,
-                            base_config=kissat_like(),
-                            sequential_fallback=False)
+                            base_config=kissat_like())

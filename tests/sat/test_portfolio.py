@@ -80,11 +80,6 @@ def test_cube_split_variables_skips_absent_vars():
     assert set(cube_split_variables(cnf, 5)) == {1, 2}
 
 
-def test_cube_split_variables_unknown_heuristic():
-    with pytest.raises(SolverError):
-        cube_split_variables(Cnf(2), 1, heuristic="lookahead")
-
-
 # --------------------------------------------------------------------- #
 # Portfolio racing
 
@@ -246,13 +241,13 @@ def test_resolve_backend_builds_portfolio_with_kwargs():
 def test_all_workers_crashing_raises_instead_of_unknown(monkeypatch):
     import repro.sat.portfolio as portfolio_module
 
-    def crashing_worker(index, cnf, config, time_limit, max_conflicts,
+    def crashing_worker(index, cnf, config, cubes, time_limit, max_conflicts,
                         max_decisions, assumptions, queue, trace_path=None,
                         lemma_path=None, endpoint=None):
         queue.put({"kind": "error", "index": index,
                    "error": "RuntimeError('boom')", "elapsed": 0.0})
 
-    monkeypatch.setattr(portfolio_module, "_race_worker", crashing_worker)
+    monkeypatch.setattr(portfolio_module, "_cube_worker", crashing_worker)
     cnf = random_cnf(10, 30, seed=0)
     with pytest.raises(SolverError, match="every portfolio worker failed"):
         solve_portfolio(cnf, num_workers=1)

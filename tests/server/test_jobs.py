@@ -63,10 +63,27 @@ class TestParseJob:
         {"payload": "aag 0 0 0 0 0\n", "kind": "preprocess",
          "proof": True},                                 # proof w/o solve
         {"payload": "p cnf 1 1\n1 0\n", "pipeline_kwargs": [1, 2]},
+        {"payload": "p cnf 1 1\n1 0\n", "backend": "portfolio",
+         "backend_kwargs": {"bogus": 1}},
+        {"payload": "p cnf 1 1\n1 0\n", "backend": "portfolio",
+         "backend_kwargs": {"num_workers": "3"}},
+        {"payload": "p cnf 1 1\n1 0\n", "backend": "portfolio",
+         "backend_kwargs": {"num_workers": 2.5}},
+        {"payload": "p cnf 1 1\n1 0\n", "backend": "portfolio",
+         "backend_kwargs": {"cube_depth": 99}},
+        {"payload": "p cnf 1 1\n1 0\n",                # not a portfolio
+         "backend_kwargs": {"num_workers": 2}},
     ])
     def test_rejects_bad_specs(self, bad):
         with pytest.raises(BadRequest):
             parse_job(bad)
+
+    def test_valid_backend_kwargs_are_accepted(self):
+        task = parse_job({"payload": "p cnf 1 1\n1 0\n",
+                          "backend": "portfolio",
+                          "backend_kwargs": {"num_workers": 2,
+                                             "cube_depth": 1}})
+        assert task.backend_kwargs == {"num_workers": 2, "cube_depth": 1}
 
     def test_unparsable_aiger_is_a_bad_request(self):
         with pytest.raises(BadRequest, match="unparsable AIGER"):
