@@ -56,9 +56,9 @@ class Sop:
 class FactoredNode:
     """A node of a factored Boolean expression tree.
 
-    ``kind`` is one of ``"lit"``, ``"and"``, ``"or"``, ``"const0"`` and
-    ``"const1"``.  Literal nodes carry ``var``/``negated``; AND/OR nodes carry
-    a list of children.
+    ``kind`` is one of ``"lit"``, ``"and"``, ``"or"``, ``"not"``, ``"const0"``
+    and ``"const1"``.  Literal nodes carry ``var``/``negated``; AND/OR nodes
+    carry a list of children and a NOT node carries exactly one.
     """
 
     kind: str
@@ -189,6 +189,8 @@ def factored_to_tt(node: FactoredNode, nvars: int) -> TruthTable:
     if node.kind == "lit":
         table = tt_var(node.var, nvars)
         return tt_not(table, nvars) if node.negated else table
+    if node.kind == "not":
+        return tt_not(factored_to_tt(node.children[0], nvars), nvars)
     if node.kind == "and":
         result = tt_mask(nvars)
         for child in node.children:

@@ -104,7 +104,7 @@ def compare_payloads(fresh: dict, baseline: dict, max_ratio: float = 2.0,
         base_counters = baseline_benchmarks[name].get("counters") or {}
         new_counters = fresh_benchmarks[name].get("counters") or {}
         for key in sorted(set(base_counters) & set(new_counters)):
-            if key.endswith("_ms") or key in ("speedup",):
+            if key.endswith(("_ms", "speedup")) or key in ("overhead", "rps"):
                 continue  # timing-derived counters are not reproducible
             if float(base_counters[key]) != float(new_counters[key]):
                 counter_mismatches.append(

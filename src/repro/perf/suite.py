@@ -48,6 +48,7 @@ from repro.sat.solver import CdclSolver, solve_cnf
 from repro.server.loadgen import build_workload
 from repro.synthesis import refactor, rewrite
 from repro.synthesis.cuts import cone_truth_table, enumerate_cuts, reconvergence_cut
+from repro.synthesis.resynth import cut_program
 
 
 def _solve_batch(cnfs: list[Cnf]) -> dict[str, float]:
@@ -439,9 +440,15 @@ def _suite_circuits(picks: tuple[tuple[int, int, int], ...]) -> list[AIG]:
 
 def _synth_batch(operation: Callable[[AIG], AIG],
                  aigs: list[AIG]) -> dict[str, float]:
-    """Apply one synthesis operation to every circuit (inputs stay intact)."""
+    """Apply one synthesis operation to every circuit (inputs stay intact).
+
+    The cut-function library is emptied first so that every repeat factors
+    the same functions; ``programs`` counts the ones it factored.
+    """
+    cut_program.cache_clear()
     return {"ands_in": sum(aig.num_ands for aig in aigs),
-            "ands_out": sum(operation(aig).num_ands for aig in aigs)}
+            "ands_out": sum(operation(aig).num_ands for aig in aigs),
+            "programs": cut_program.cache_info().misses}
 
 
 def _cone_tables(aigs: list[AIG], max_leaves: int = 10) -> list[tuple[int, int]]:

@@ -18,7 +18,7 @@ from repro.synthesis.resynth import (
     build_factored,
     count_new_nodes,
     cut_cone_gain,
-    factored_form,
+    cut_program,
 )
 
 
@@ -49,13 +49,13 @@ def refactor(aig: AIG, max_leaves: int = 10, min_cone_size: int = 3,
                 nvars = len(leaves)
                 table = cone_truth_table(aig, var, leaves) & tt_mask(nvars)
                 if table not in (0, tt_mask(nvars)):
-                    tree = factored_form(table, nvars)
+                    program = cut_program(table, nvars)
                     leaf_literals = [pass_state.resolve(leaf * 2) for leaf in leaves]
-                    added = count_new_nodes(aig, tree, leaf_literals)
+                    added = count_new_nodes(aig, program, leaf_literals)
                     gain = freed - added
                     threshold = 0 if allow_zero_gain else 1
                     if gain >= threshold:
-                        replacement = build_factored(aig, tree, leaf_literals)
+                        replacement = build_factored(aig, program, leaf_literals)
 
         if replacement is not None and lit_var(replacement) != var:
             pass_state.replace(var, replacement)

@@ -4,12 +4,13 @@ Both rewriting and refactoring follow the same template:
 
 1. pick a cut of a node and obtain the node's function over the cut leaves;
 2. resynthesise that function into a (hopefully smaller) AND/INV structure
-   via ISOP + algebraic factoring;
+   via ISOP + algebraic factoring, looked up in a process-wide library
+   (:func:`cut_program`) that compiles each function once into a flat AND
+   program;
 3. estimate the *gain*: the number of AND nodes of the original cone that
    would become dangling, minus the number of genuinely new AND nodes the
-   replacement structure needs (nodes already present in the strash table are
-   free);
-4. if the gain is positive, build the structure and redirect all fanouts of
+   program needs (nodes already present in the strash table are free);
+4. if the gain is positive, build the program and redirect all fanouts of
    the node to the new literal.
 
 Steps 2--4 are implemented here so that the two operations only differ in how
@@ -17,6 +18,8 @@ they choose cuts.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from repro.aig.aig import AIG, CONST0, CONST1, lit_is_complemented, lit_not, lit_var
 from repro.logic.sop import FactoredNode, Sop, factor_sop
@@ -36,98 +39,87 @@ def factored_form(table: int, nvars: int) -> FactoredNode:
     return positive
 
 
-def count_new_nodes(aig: AIG, tree: FactoredNode, leaf_literals: list[int]) -> int:
-    """Count the AND nodes that building ``tree`` would add to ``aig``.
+@lru_cache(maxsize=1 << 14)
+def cut_program(table: int, nvars: int) -> tuple[int, ...]:
+    """Return :func:`factored_form` of ``table`` compiled to a flat AND program.
 
-    The tree is interpreted over ``leaf_literals`` (literal ``i`` stands for
-    tree variable ``i``).  Nodes already present in the structural-hash table
-    are not counted.  Nothing is added to the AIG.
+    This is the process-wide cut-function library of ``rewrite`` and
+    ``refactor``: each ``(table, nvars)`` is factored once.  The program is a
+    tuple of operand codes ``2*slot + negated``; slot 0 is the constant,
+    slots ``1..nvars`` are the cut leaves and slot ``nvars + 1 + k`` is step
+    ``k``, the AND of codes ``2k`` and ``2k + 1``.  The last code is the
+    output.  Steps follow the tree in post-order, each AND/OR node pairing
+    its children level by level (OR by De Morgan), so a build calls
+    ``add_and`` in a fixed order whatever the cache held before.
     """
-    counter = [0]
-    _trace_tree(aig, tree, leaf_literals, counter, build=False)
-    return counter[0]
+    program: list[int] = []
+
+    def compile_node(node: FactoredNode) -> int:
+        if node.kind in ("const0", "const1"):
+            return int(node.kind == "const1")
+        if node.kind == "lit":
+            return 2 * node.var + 2 + node.negated
+        if node.kind == "not":
+            return compile_node(node.children[0]) ^ 1
+        negate = {"and": 0, "or": 1}[node.kind]
+        codes = [compile_node(child) ^ negate for child in node.children]
+        while len(codes) > 1:
+            paired = []
+            for i in range(0, len(codes) - 1, 2):
+                program.extend((codes[i], codes[i + 1]))
+                paired.append(2 * nvars + len(program))
+            codes = paired + codes[len(paired) * 2:]
+        return codes[0] ^ negate
+
+    program.append(compile_node(factored_form(table, nvars)))
+    return tuple(program)
 
 
-def build_factored(aig: AIG, tree: FactoredNode, leaf_literals: list[int]) -> int:
-    """Materialise ``tree`` over ``leaf_literals`` in ``aig``; return the literal."""
-    counter = [0]
-    literal = _trace_tree(aig, tree, leaf_literals, counter, build=True)
-    assert literal is not None
-    return literal
+def count_new_nodes(aig: AIG, program: tuple[int, ...],
+                    leaf_literals: list[int]) -> int:
+    """Count the AND nodes that building ``program`` would add to ``aig``.
+
+    A dry run of :func:`build_factored` that adds nothing: it applies
+    ``add_and``'s simplification rules and strash lookup, with -1 marking a
+    node that does not exist yet (any step using one is new as well).  A
+    step repeating a new node is counted again: sharing inside one
+    replacement is not credited.
+    """
+    values = [CONST0, *leaf_literals]
+    strash = aig._strash
+    added = 0
+    codes = iter(program)  # zip stops at the unpaired output code
+    for code_a, code_b in zip(codes, codes):
+        a = values[code_a >> 1]
+        b = values[code_b >> 1]
+        if a < 0 or b < 0:
+            result = -1
+        else:
+            a ^= code_a & 1
+            b ^= code_b & 1
+            if a == CONST0 or b == CONST0 or a == b ^ 1:
+                result = CONST0
+            elif a == CONST1 or a == b:
+                result = b
+            elif b == CONST1:
+                result = a
+            else:
+                existing = strash.get((a, b) if a <= b else (b, a))
+                result = -1 if existing is None else existing * 2
+        added += result < 0
+        values.append(result)
+    return added
 
 
-# A sentinel literal meaning "this sub-expression would require a node that
-# does not exist yet"; any operation involving it also counts as new.
-_UNKNOWN = -1
-
-
-def _trace_tree(aig: AIG, tree: FactoredNode, leaf_literals: list[int],
-                counter: list[int], build: bool) -> int:
-    if tree.kind == "const0":
-        return CONST0
-    if tree.kind == "const1":
-        return CONST1
-    if tree.kind == "lit":
-        literal = leaf_literals[tree.var]
-        return lit_not(literal) if tree.negated else literal
-    if tree.kind == "not":
-        inner = _trace_tree(aig, tree.children[0], leaf_literals, counter, build)
-        return inner if inner == _UNKNOWN else lit_not(inner)
-    if tree.kind == "and":
-        literals = [_trace_tree(aig, child, leaf_literals, counter, build)
-                    for child in tree.children]
-        return _trace_balanced(aig, literals, counter, build, is_and=True)
-    if tree.kind == "or":
-        literals = [_trace_tree(aig, child, leaf_literals, counter, build)
-                    for child in tree.children]
-        return _trace_balanced(aig, literals, counter, build, is_and=False)
-    raise ValueError(f"unknown factored-node kind {tree.kind!r}")
-
-
-def _trace_balanced(aig: AIG, literals: list[int], counter: list[int],
-                    build: bool, is_and: bool) -> int:
-    if not is_and:
-        literals = [lit_not(l) if l != _UNKNOWN else l for l in literals]
-    while len(literals) > 1:
-        next_level = []
-        for i in range(0, len(literals) - 1, 2):
-            next_level.append(_trace_and(aig, literals[i], literals[i + 1],
-                                         counter, build))
-        if len(literals) % 2:
-            next_level.append(literals[-1])
-        literals = next_level
-    result = literals[0]
-    if not is_and and result != _UNKNOWN:
-        result = lit_not(result)
-    return result
-
-
-def _trace_and(aig: AIG, a: int, b: int, counter: list[int], build: bool) -> int:
-    if a == _UNKNOWN or b == _UNKNOWN:
-        counter[0] += 1
-        return _UNKNOWN
-    if build:
-        before = aig.num_ands
-        literal = aig.add_and(a, b)
-        counter[0] += aig.num_ands - before
-        return literal
-    # Dry run: replicate add_and's simplification rules without mutating.
-    if a == CONST0 or b == CONST0:
-        return CONST0
-    if a == CONST1:
-        return b
-    if b == CONST1:
-        return a
-    if a == b:
-        return a
-    if a == lit_not(b):
-        return CONST0
-    key = (a, b) if a <= b else (b, a)
-    existing = aig._strash.get(key)
-    if existing is not None:
-        return existing * 2
-    counter[0] += 1
-    return _UNKNOWN
+def build_factored(aig: AIG, program: tuple[int, ...],
+                   leaf_literals: list[int]) -> int:
+    """Materialise ``program`` over ``leaf_literals`` in ``aig``; return the literal."""
+    values = [CONST0, *leaf_literals]
+    codes = iter(program)  # zip stops at the unpaired output code
+    for code_a, code_b in zip(codes, codes):
+        values.append(aig.add_and(values[code_a >> 1] ^ (code_a & 1),
+                                  values[code_b >> 1] ^ (code_b & 1)))
+    return values[program[-1] >> 1] ^ (program[-1] & 1)
 
 
 def cut_cone_gain(aig: AIG, root: int, leaves: tuple[int, ...],

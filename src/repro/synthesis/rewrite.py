@@ -1,24 +1,25 @@
 """DAG-aware cut rewriting (the ``rewrite`` action).
 
 For every AND node the engine enumerates its 4-feasible cuts, resynthesises
-each cut function with ISOP + algebraic factoring (caching the result per
-truth table, in the spirit of ABC's pre-computed NPN library) and replaces
-the node whenever the replacement adds fewer AND nodes than it frees.  Gain
-accounting is DAG-aware: structures already present in the strash table are
-free, and only the fanout-free part of the old cone counts as freed.
+each cut function with ISOP + algebraic factoring (looked up by exact truth
+table in the process-wide library :func:`~repro.synthesis.resynth.cut_program`,
+in the spirit of ABC's pre-computed NPN library) and replaces the node
+whenever the replacement adds fewer AND nodes than it frees.  Gain accounting
+is DAG-aware: structures already present in the strash table are free, and
+only the fanout-free part of the old cone counts as freed.
 """
 
 from __future__ import annotations
 
 from repro.aig.aig import AIG, lit_var
-from repro.logic.truthtable import tt_mask, tt_var
+from repro.logic.truthtable import tt_mask
 from repro.synthesis.cuts import enumerate_cuts
 from repro.synthesis.resynth import (
     ReplacementPass,
     build_factored,
     count_new_nodes,
     cut_cone_gain,
-    factored_form,
+    cut_program,
 )
 
 
@@ -34,7 +35,6 @@ def rewrite(aig: AIG, cut_size: int = 4, max_cuts: int = 8,
     aig = pass_state.aig  # private working copy; the input stays intact
     cuts = enumerate_cuts(aig, k=cut_size, max_cuts=max_cuts)
     fanout_counts = aig.fanout_counts()
-    structure_cache: dict[tuple[int, int], object] = {}
 
     for var in aig.and_vars():
         lit0, lit1 = aig.fanins(var)
@@ -53,18 +53,14 @@ def rewrite(aig: AIG, cut_size: int = 4, max_cuts: int = 8,
             # those are handled by constant propagation, not rewriting.
             if table in (0, tt_mask(nvars)):
                 continue
-            cache_key = (nvars, table)
-            tree = structure_cache.get(cache_key)
-            if tree is None:
-                tree = factored_form(table, nvars)
-                structure_cache[cache_key] = tree
+            program = cut_program(table, nvars)
             leaf_literals = [pass_state.resolve(leaf * 2) for leaf in cut.leaves]
-            added = count_new_nodes(aig, tree, leaf_literals)
+            added = count_new_nodes(aig, program, leaf_literals)
             freed = cut_cone_gain(aig, var, cut.leaves, fanout_counts)
             gain = freed - added
             if gain >= best_gain:
                 best_gain = gain
-                best_literal = build_factored(aig, tree, leaf_literals)
+                best_literal = build_factored(aig, program, leaf_literals)
 
         if best_literal is not None and lit_var(best_literal) != var:
             pass_state.replace(var, best_literal)

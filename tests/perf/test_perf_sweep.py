@@ -142,6 +142,17 @@ class TestComparePayloads:
         verdict = compare_payloads(fresh, baseline)
         assert verdict["counter_mismatches"] == ["a.conflicts: 5.0 -> 9.0"]
 
+    def test_timing_derived_counters_are_not_compared(self):
+        timings = {"cube_ms": 1.0, "speedup": 1.2, "unsat_speedup": 0.8,
+                   "overhead": 1.02, "rps": 395.0}
+        baseline = _payload({"a": 0.1},
+                            counters={"a": {**timings, "conflicts": 5.0}})
+        fresh = _payload({"a": 0.1}, counters={"a": {
+            **{key: value * 2 for key, value in timings.items()},
+            "conflicts": 5.0}})
+        verdict = compare_payloads(fresh, baseline)
+        assert verdict["counter_mismatches"] == []
+
 
 class TestCompareCli:
     def _write(self, tmp_path, name, payload):
