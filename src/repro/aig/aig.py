@@ -20,7 +20,7 @@ applies the usual trivial simplifications (``x & 0 = 0``, ``x & 1 = x``,
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 
 from repro.errors import AigError
 
@@ -231,6 +231,19 @@ class AIG:
         if fanins is None:
             raise AigError(f"variable {var} is not an AND node")
         return fanins
+
+    @property
+    def fanin_array(self) -> Sequence[tuple[int, int] | None]:
+        """The fanin pair of every variable, for read-only inner loops.
+
+        Entry ``var`` is ``None`` for the constant node and for primary
+        inputs, and the ``(lit0, lit1)`` pair (``lit0 <= lit1``, distinct
+        variables, neither constant) of an AND node.  This is the live
+        internal list, not a copy: it grows as nodes are added and must never
+        be written to.  Reads skip the checks of :meth:`fanins` and
+        :meth:`is_and`.
+        """
+        return self._fanins
 
     def and_vars(self) -> Iterator[int]:
         """Iterate over AND-node variables in topological order."""

@@ -30,6 +30,7 @@ from repro.cnf.dimacs import write_dimacs_file
 from repro.cnf.tseitin import tseitin_encode
 from repro.core.preprocess import Preprocessor
 from repro.core.results import InstanceRun
+from repro.errors import PipelineError
 from repro.obs import get_tracer
 from repro.sat.backends import SolverBackend, resolve_backend
 from repro.sat.configs import SolverConfig
@@ -133,9 +134,9 @@ def canonical_pipeline(name: str) -> str | None:
 
 
 def _label(pipeline: str | Callable) -> str:
-    """The name a pipeline is reported under."""
+    """The name a pipeline is reported under (its registry name if known)."""
     if isinstance(pipeline, str):
-        return pipeline
+        return canonical_pipeline(pipeline) or pipeline
     return getattr(pipeline, "__name__", "custom")
 
 
@@ -143,8 +144,20 @@ def encode_aig(aig: AIG, pipeline: str | Callable[..., tuple[Cnf, float]],
                instance_name: str = "",
                pipeline_kwargs: dict | None = None) -> tuple[Cnf, float]:
     """Preprocess ``aig`` into CNF with ``pipeline``, inside a ``preprocess``
-    span; returns the CNF and the transform time."""
-    encode = PIPELINES[pipeline] if isinstance(pipeline, str) else pipeline
+    span; returns the CNF and the transform time.
+
+    A string names a registered pipeline in any spelling
+    :func:`canonical_pipeline` accepts; an unknown name raises
+    :class:`~repro.errors.PipelineError`.
+    """
+    if isinstance(pipeline, str):
+        name = canonical_pipeline(pipeline)
+        if name is None:
+            choices = ", ".join(sorted(PIPELINES) + sorted(PIPELINE_ALIASES))
+            raise PipelineError(f"unknown pipeline {pipeline!r}; choose from {choices}")
+        encode = PIPELINES[name]
+    else:
+        encode = pipeline
     with get_tracer().span("preprocess", pipeline=_label(pipeline),
                            instance=instance_name or aig.name) as span:
         cnf, transform_time = encode(aig, **(pipeline_kwargs or {}))

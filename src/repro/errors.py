@@ -28,6 +28,7 @@ __all__ = [
     "TruthTableError",
     "SynthesisError",
     "MappingError",
+    "PipelineError",
     "CnfError",
     "SolverError",
     "BackendError",
@@ -96,6 +97,10 @@ class SynthesisError(ReproError, PermanentError):
 
 class MappingError(ReproError, PermanentError):
     """Raised when LUT mapping fails (e.g. no feasible cut cover)."""
+
+
+class PipelineError(ReproError, PermanentError):
+    """Raised when a pipeline name matches no registered pipeline."""
 
 
 class CnfError(ReproError, PermanentError):

@@ -1,4 +1,4 @@
-"""Boolean-function substrate: truth tables, ISOP covers, SOP factoring, NPN.
+"""Boolean-function substrate: truth tables, ISOP covers, SOP factoring.
 
 This package provides the low-level Boolean-function machinery used by the
 synthesis operations (:mod:`repro.synthesis`), the LUT mapper
@@ -30,7 +30,6 @@ from repro.logic.truthtable import (
 )
 from repro.logic.isop import Cube, isop, cover_to_tt, isop_cube_count
 from repro.logic.sop import Sop, factor_sop, FactoredNode
-from repro.logic.npn import npn_canonical, npn_transform, NpnTransform
 
 __all__ = [
     "TruthTable",
@@ -56,7 +55,4 @@ __all__ = [
     "Sop",
     "factor_sop",
     "FactoredNode",
-    "npn_canonical",
-    "npn_transform",
-    "NpnTransform",
 ]

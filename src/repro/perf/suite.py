@@ -10,8 +10,9 @@ two hot paths the reproduction spends its time in:
   transition, the pigeonhole principle, a LEC miter);
 * the synthesis kernels (cut enumeration, bit-parallel simulation,
   exhaustive-pattern generation, AIG structural queries) and the paper's
-  synthesis layer (``rewrite``, ``refactor``, ISOP + algebraic factoring)
-  on seeded test-suite circuits.
+  synthesis layer (``rewrite``, ``refactor``, ``resub``, ISOP + algebraic
+  factoring) and the branching-cost LUT mapper on seeded test-suite
+  circuits.
 
 ``--quick`` shrinks every workload so the whole suite finishes in a few
 seconds — that mode exists for CI smoke coverage, not for trajectory
@@ -38,6 +39,7 @@ from repro.cnf.cnf import Cnf
 from repro.cnf.tseitin import tseitin_encode
 from repro.logic.sop import Sop, factor_sop
 from repro.logic.truthtable import tt_mask
+from repro.mapping import branching_cost, map_aig
 from repro.obs import Tracer, read_trace, use_tracer
 from repro.perf.bench import Benchmark
 from repro.sat.configs import SolverConfig, cadical_like, kissat_like
@@ -46,7 +48,7 @@ from repro.sat.proof import check_drat_file
 from repro.sat.sharing import interleaved_sharing_race
 from repro.sat.solver import CdclSolver, solve_cnf
 from repro.server.loadgen import build_workload
-from repro.synthesis import refactor, rewrite
+from repro.synthesis import refactor, resub, rewrite
 from repro.synthesis.cuts import cone_truth_table, enumerate_cuts, reconvergence_cut
 from repro.synthesis.resynth import cut_program
 
@@ -438,17 +440,31 @@ def _suite_circuits(picks: tuple[tuple[int, int, int], ...]) -> list[AIG]:
             for size, seed, index in picks]
 
 
+def _ands_batch(operation: Callable[[AIG], AIG],
+                aigs: list[AIG]) -> dict[str, float]:
+    """Apply one synthesis operation to every circuit (inputs stay intact)."""
+    return {"ands_in": sum(aig.num_ands for aig in aigs),
+            "ands_out": sum(operation(aig).num_ands for aig in aigs)}
+
+
 def _synth_batch(operation: Callable[[AIG], AIG],
                  aigs: list[AIG]) -> dict[str, float]:
-    """Apply one synthesis operation to every circuit (inputs stay intact).
+    """:func:`_ands_batch` for an operation that factors cut functions.
 
     The cut-function library is emptied first so that every repeat factors
     the same functions; ``programs`` counts the ones it factored.
     """
     cut_program.cache_clear()
-    return {"ands_in": sum(aig.num_ands for aig in aigs),
-            "ands_out": sum(operation(aig).num_ands for aig in aigs),
-            "programs": cut_program.cache_info().misses}
+    counters = _ands_batch(operation, aigs)
+    counters["programs"] = cut_program.cache_info().misses
+    return counters
+
+
+def _map_batch(aigs: list[AIG]) -> dict[str, float]:
+    """Map every circuit into 4-LUTs under the paper's branching cost."""
+    results = [map_aig(aig, k=4, cost_fn=branching_cost) for aig in aigs]
+    return {"luts": sum(result.num_luts for result in results),
+            "cost": sum(result.total_cost for result in results)}
 
 
 def _cone_tables(aigs: list[AIG], max_leaves: int = 10) -> list[tuple[int, int]]:
@@ -639,6 +655,24 @@ def default_suite(quick: bool = False) -> list[Benchmark]:
                         f"circuits",
             setup=lambda: _suite_circuits(synth_picks),
             run=lambda aigs: _synth_batch(refactor, aigs),
+        ),
+        Benchmark(
+            name="synth_resub",
+            category="synthesis",
+            description=f"resub (8-leaf reconvergence windows, 0- and "
+                        f"1-resubstitution) on {len(synth_picks)} seeded "
+                        f"test-suite circuits",
+            setup=lambda: _suite_circuits(synth_picks),
+            run=lambda aigs: _ands_batch(resub, aigs),
+        ),
+        Benchmark(
+            name="map_lut",
+            category="synthesis",
+            description=f"4-LUT mapping under branching cost (priority cuts, "
+                        f"delay then cost-recovery passes) of the same "
+                        f"{len(synth_picks)} circuits",
+            setup=lambda: _suite_circuits(synth_picks),
+            run=_map_batch,
         ),
         Benchmark(
             name="isop_factor",

@@ -16,8 +16,10 @@ variable index), which is exactly what rewriting and cost-aware mapping need.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
-from repro.aig.aig import AIG, lit_is_complemented, lit_var
+from repro.aig.aig import AIG
+from repro.errors import AigError
 from repro.logic.truthtable import tt_expand, tt_mask, tt_var
 
 #: Truth table of a trivial (unit, identity) cut: variable 0 over 1 input.
@@ -55,48 +57,22 @@ class Cut:
         return len(self.leaves) == 1 and self.table == _TRIVIAL_TABLE
 
 
-def _merge_leaves(leaves0: tuple[int, ...],
-                  leaves1: tuple[int, ...]) -> tuple[tuple[int, ...],
-                                                     list[int], list[int]]:
-    """Merge two sorted leaf tuples; return (merged, positions0, positions1).
+#: Largest merged cut whose fanin tables are expanded by table lookup.
+_LOOKUP_LEAVES = 4
 
-    ``positions0[i]`` is the index of ``leaves0[i]`` inside ``merged`` (and
-    likewise for ``positions1``), which is exactly the expansion map
-    :func:`repro.logic.truthtable.tt_expand` needs — computed during the
-    merge itself instead of through a per-merge dictionary.
+
+@cache
+def _expansion(positions: tuple[int, ...], nvars: int) -> tuple[int, ...]:
+    """The lookup row expanding a table over ``len(positions)`` inputs.
+
+    Entry ``t`` is ``tt_expand(t, positions, len(positions), nvars)``.  Only
+    fanin cuts of at most 3 leaves are looked up (one with as many leaves as
+    the merged cut keeps its table), so a row has at most 256 entries, and
+    with ``nvars <= 4`` there are at most 22 rows.
     """
-    merged: list[int] = []
-    positions0: list[int] = []
-    positions1: list[int] = []
-    index0 = index1 = 0
-    length0 = len(leaves0)
-    length1 = len(leaves1)
-    while index0 < length0 and index1 < length1:
-        leaf0 = leaves0[index0]
-        leaf1 = leaves1[index1]
-        if leaf0 == leaf1:
-            positions0.append(len(merged))
-            positions1.append(len(merged))
-            merged.append(leaf0)
-            index0 += 1
-            index1 += 1
-        elif leaf0 < leaf1:
-            positions0.append(len(merged))
-            merged.append(leaf0)
-            index0 += 1
-        else:
-            positions1.append(len(merged))
-            merged.append(leaf1)
-            index1 += 1
-    while index0 < length0:
-        positions0.append(len(merged))
-        merged.append(leaves0[index0])
-        index0 += 1
-    while index1 < length1:
-        positions1.append(len(merged))
-        merged.append(leaves1[index1])
-        index1 += 1
-    return tuple(merged), positions0, positions1
+    old_nvars = len(positions)
+    return tuple(tt_expand(table, positions, old_nvars, nvars)
+                 for table in range(1 << (1 << old_nvars)))
 
 
 def _merge_cuts(cut0: Cut, cut1: Cut, comp0: bool, comp1: bool,
@@ -105,33 +81,58 @@ def _merge_cuts(cut0: Cut, cut1: Cut, comp0: bool, comp1: bool,
 
     ``signature`` is the precomputed union of the two cut signatures; the
     caller (the enumeration loop) has already used it to reject infeasible
-    pairs, so feasibility is not re-checked here.
+    pairs, so feasibility is not re-checked here.  A fanin cut that already
+    has every merged leaf keeps its table.  Otherwise a merged cut of at
+    most :data:`_LOOKUP_LEAVES` leaves expands it with one lookup in an
+    :func:`_expansion` row, and a larger one through :func:`tt_expand`.
     """
-    leaves, positions0, positions1 = _merge_leaves(cut0.leaves, cut1.leaves)
+    leaves0 = cut0.leaves
+    leaves1 = cut1.leaves
+    if signature == cut0.signature:
+        leaves = leaves0
+    elif signature == cut1.signature:
+        leaves = leaves1
+    else:
+        leaves = tuple(sorted({*leaves0, *leaves1}))
     nvars = len(leaves)
-    table0 = tt_expand(cut0.table, positions0, len(cut0.leaves), nvars)
-    table1 = tt_expand(cut1.table, positions1, len(cut1.leaves), nvars)
-    mask = tt_mask(nvars)
+    lookup = nvars <= _LOOKUP_LEAVES
+    table0 = cut0.table
+    if len(leaves0) < nvars:
+        positions = tuple(map(leaves.index, leaves0))
+        if lookup:
+            table0 = _expansion(positions, nvars)[table0]
+        else:
+            table0 = tt_expand(table0, positions, len(leaves0), nvars)
+    table1 = cut1.table
+    if len(leaves1) < nvars:
+        positions = tuple(map(leaves.index, leaves1))
+        if lookup:
+            table1 = _expansion(positions, nvars)[table1]
+        else:
+            table1 = tt_expand(table1, positions, len(leaves1), nvars)
+    # Both tables are masked, so only a double complement needs the mask.
     if comp0:
-        table0 = ~table0 & mask
-    if comp1:
-        table1 = ~table1 & mask
-    return Cut(leaves=leaves, table=table0 & table1 & mask,
-               signature=signature)
+        table = ~(table0 | table1) & tt_mask(nvars) if comp1 else table1 & ~table0
+    else:
+        table = table0 & ~table1 if comp1 else table0 & table1
+    return Cut(leaves, table, signature)
 
 
 def _filter_cuts(cuts: list[Cut], max_cuts: int) -> list[Cut]:
     """Remove dominated cuts and keep at most ``max_cuts`` by size priority."""
     cuts = sorted(cuts, key=lambda cut: (len(cut.leaves), cut.leaves))
     kept: list[Cut] = []
+    kept_signatures: list[int] = []
     for cut in cuts:
         cut_signature = cut.signature
-        if any(existing.signature & cut_signature == existing.signature
-               for existing in kept):
-            continue
-        kept.append(cut)
-        if len(kept) >= max_cuts:
-            break
+        for signature in kept_signatures:
+            if signature & cut_signature == signature:
+                break
+        else:
+            kept.append(cut)
+            kept_signatures.append(cut_signature)
+            if len(kept) >= max_cuts:
+                break
     return kept
 
 
@@ -147,18 +148,20 @@ def enumerate_cuts(aig: AIG, k: int = 4, max_cuts: int = 8,
     appear as leaves because the strashed AIG has no AND node with a constant
     fanin.
     """
-    trivial = {var: Cut(leaves=(var,), table=_TRIVIAL_TABLE)
-               for var in aig.nodes()}
+    fanin_array = aig.fanin_array
     all_cuts: dict[int, list[Cut]] = {}
-    for pi_var in aig.pis:
-        all_cuts[pi_var] = [trivial[pi_var]]
-    for var in aig.and_vars():
-        lit0, lit1 = aig.fanins(var)
-        var0, var1 = lit_var(lit0), lit_var(lit1)
-        comp0, comp1 = lit_is_complemented(lit0), lit_is_complemented(lit1)
-        cuts1 = all_cuts.get(var1, [trivial[var1]])
+    for var in aig.nodes():
+        pair = fanin_array[var]
+        trivial = Cut((var,), _TRIVIAL_TABLE, 1 << var)
+        if pair is None:
+            all_cuts[var] = [trivial]
+            continue
+        lit0, lit1 = pair
+        comp0 = lit0 & 1
+        comp1 = lit1 & 1
+        cuts1 = all_cuts[lit1 >> 1]
         merged: list[Cut] = []
-        for cut0 in all_cuts.get(var0, [trivial[var0]]):
+        for cut0 in all_cuts[lit0 >> 1]:
             signature0 = cut0.signature
             for cut1 in cuts1:
                 # Feasibility pre-check on signatures: the union popcount is
@@ -168,12 +171,11 @@ def enumerate_cuts(aig: AIG, k: int = 4, max_cuts: int = 8,
                 if signature.bit_count() > k:
                     continue
                 merged.append(_merge_cuts(cut0, cut1, comp0, comp1, signature))
-        merged = _filter_cuts(merged, max_cuts - 1)
-        all_cuts[var] = [trivial[var]] + merged
+        all_cuts[var] = [trivial] + _filter_cuts(merged, max_cuts - 1)
     if not include_trivial:
         stripped = {}
         for var, cuts in all_cuts.items():
-            if aig.is_and(var):
+            if fanin_array[var] is not None:
                 stripped[var] = [cut for cut in cuts if not cut.is_trivial()]
             else:
                 stripped[var] = cuts
@@ -185,35 +187,75 @@ def reconvergence_cut(aig: AIG, root: int, max_leaves: int = 10) -> tuple[int, .
     """Compute a reconvergence-driven cut of ``root`` with at most ``max_leaves``.
 
     The heuristic repeatedly expands the leaf whose replacement by its fanins
-    increases the leaf count the least (ties broken towards deeper leaves),
-    exactly in the spirit of ABC's reconvergence-driven cut computation used
-    by refactoring.  Returns the sorted tuple of leaf variables.
+    increases the leaf count the least, exactly in the spirit of ABC's
+    reconvergence-driven cut computation used by refactoring.  A leaf's
+    increase is the number of its fanins that are not leaves yet, minus one
+    (an AND node's two fanins are distinct variables, neither of them the
+    node itself); ties go to the first such leaf in the iteration order of
+    the leaf set.  Returns the sorted tuple of leaf variables.
     """
+    fanin_array = aig.fanin_array
     leaves = {root}
     while True:
-        best_leaf = None
-        best_increase = None
+        best_pair = None
+        best_increase = max_leaves - len(leaves) + 1
         for leaf in leaves:
-            if not aig.is_and(leaf):
+            pair = fanin_array[leaf]
+            if pair is None:
                 continue
-            lit0, lit1 = aig.fanins(leaf)
-            fanin_vars = {lit_var(lit0), lit_var(lit1)}
-            new_leaves = (leaves - {leaf}) | fanin_vars
-            increase = len(new_leaves) - len(leaves)
-            if len(new_leaves) > max_leaves:
-                continue
-            if best_increase is None or increase < best_increase:
+            increase = ((pair[0] >> 1) not in leaves) + ((pair[1] >> 1) not in leaves) - 1
+            if increase < best_increase:
                 best_increase = increase
                 best_leaf = leaf
-        if best_leaf is None:
+                best_pair = pair
+                if increase < 0:
+                    break  # nothing can beat -1
+        if best_pair is None:
             break
-        lit0, lit1 = aig.fanins(best_leaf)
         leaves.remove(best_leaf)
-        leaves.add(lit_var(lit0))
-        leaves.add(lit_var(lit1))
-        if best_increase is not None and best_increase >= 0 and len(leaves) >= max_leaves:
+        leaves.add(best_pair[0] >> 1)
+        leaves.add(best_pair[1] >> 1)
+        if best_increase >= 0 and len(leaves) >= max_leaves:
             break
     return tuple(sorted(leaves))
+
+
+def window_tables(aig: AIG, root: int, leaves: tuple[int, ...]) -> dict[int, int]:
+    """Return the truth table over ``leaves`` of every node in ``root``'s window.
+
+    The window is the leaves plus the AND nodes of the cone of ``root``
+    above them, ``root`` included.  Leaves are free variables ordered by
+    their position in ``leaves``; every path from a PI to ``root`` must pass
+    through a leaf.  The dict lists the leaves first, in the given order,
+    then the cone nodes in ascending (topological) order.
+    """
+    fanin_array = aig.fanin_array
+    nvars = len(leaves)
+    tables = {leaf: tt_var(position, nvars) for position, leaf in enumerate(leaves)}
+    cone: set[int] = set()
+    stack = [root]
+    while stack:
+        var = stack.pop()
+        if var in tables or var in cone:
+            continue
+        pair = fanin_array[var]
+        if pair is None:
+            raise AigError(f"leaves {leaves} do not cut the cone of {root}: "
+                           f"variable {var} is not an AND node")
+        cone.add(var)
+        stack.append(pair[0] >> 1)
+        stack.append(pair[1] >> 1)
+    mask = tt_mask(nvars)
+    for var in sorted(cone):
+        lit0, lit1 = fanin_array[var]
+        table0 = tables[lit0 >> 1]
+        table1 = tables[lit1 >> 1]
+        # Both tables are masked, so only a double complement needs the mask.
+        if lit0 & 1:
+            tables[var] = ~(table0 | table1) & mask if lit1 & 1 else table1 & ~table0
+        else:
+            tables[var] = table0 & ~table1 if lit1 & 1 else table0 & table1
+    return tables
 
 
 def cone_truth_table(aig: AIG, root: int, leaves: tuple[int, ...]) -> int:
@@ -222,26 +264,7 @@ def cone_truth_table(aig: AIG, root: int, leaves: tuple[int, ...]) -> int:
     Every path from a PI to ``root`` must pass through a leaf; leaves are
     treated as free variables ordered by their position in ``leaves``.
     """
-    nvars = len(leaves)
-    positions = {leaf: index for index, leaf in enumerate(leaves)}
-    cache: dict[int, int] = {leaf: tt_var(positions[leaf], nvars) for leaf in leaves}
-    mask = tt_mask(nvars)
-
-    def table_of(var: int) -> int:
-        if var in cache:
-            return cache[var]
-        lit0, lit1 = aig.fanins(var)
-        table0 = table_of(lit_var(lit0))
-        table1 = table_of(lit_var(lit1))
-        if lit_is_complemented(lit0):
-            table0 = ~table0 & mask
-        if lit_is_complemented(lit1):
-            table1 = ~table1 & mask
-        result = table0 & table1 & mask
-        cache[var] = result
-        return result
-
-    return table_of(root)
+    return window_tables(aig, root, leaves)[root]
 
 
 def cone_nodes(aig: AIG, root: int, leaves: tuple[int, ...]) -> list[int]:
@@ -250,15 +273,18 @@ def cone_nodes(aig: AIG, root: int, leaves: tuple[int, ...]) -> list[int]:
     The root is included, the leaves are not.  Nodes are returned in
     topological (ascending-variable) order.
     """
+    fanin_array = aig.fanin_array
     leaf_set = set(leaves)
     visited: set[int] = set()
     stack = [root]
     while stack:
         var = stack.pop()
-        if var in visited or var in leaf_set or not aig.is_and(var):
+        if var in visited or var in leaf_set:
+            continue
+        pair = fanin_array[var]
+        if pair is None:
             continue
         visited.add(var)
-        lit0, lit1 = aig.fanins(var)
-        stack.append(lit_var(lit0))
-        stack.append(lit_var(lit1))
+        stack.append(pair[0] >> 1)
+        stack.append(pair[1] >> 1)
     return sorted(visited)

@@ -16,11 +16,11 @@ so the transformation is always functionally safe.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, islice
 
 from repro.aig.aig import AIG, lit_not, lit_var
 from repro.logic.truthtable import tt_mask
-from repro.synthesis.cuts import cone_nodes, cone_truth_table, reconvergence_cut
+from repro.synthesis.cuts import reconvergence_cut, window_tables
 from repro.synthesis.resynth import ReplacementPass, cut_cone_gain
 
 
@@ -59,20 +59,19 @@ def _find_resubstitution(aig: AIG, var: int, fanout_counts: list[int],
     if len(leaves) < 2 or var in leaves:
         return None
     freed = cut_cone_gain(aig, var, leaves, fanout_counts)
+    if freed < 1:
+        return None
     nvars = len(leaves)
     mask = tt_mask(nvars)
-    target = cone_truth_table(aig, var, leaves) & mask
+    tables = window_tables(aig, var, leaves)
+    target = tables[var]
 
-    # The cone of `var` above the leaves, used both to find divisors (any
-    # window node outside the fanout-free part of the cone) and to refuse
-    # divisors that would create a cycle (nodes inside the cone that will be
-    # freed are fine to reuse only if they are *not* freed, i.e. have outside
-    # fanouts; for simplicity, divisors are restricted to leaves and to cone
-    # nodes with external fanouts).
-    cone = set(cone_nodes(aig, var, leaves))
-
+    # Divisors: the leaves, then the cone nodes other than ``var`` that have
+    # more than one fanout (listed after the leaves, in ascending order).
+    # Reusing a single-fanout cone node may keep alive a node that ``freed``
+    # counts as deleted, so those are skipped.
     divisors: list[int] = list(leaves)
-    for node in sorted(cone):
+    for node in islice(tables, nvars, None):
         if node == var:
             continue
         if fanout_counts[node] > 1:
@@ -80,33 +79,28 @@ def _find_resubstitution(aig: AIG, var: int, fanout_counts: list[int],
         if len(divisors) >= max_divisors:
             break
 
-    divisor_tables = {}
-    for divisor in divisors:
-        divisor_tables[divisor] = cone_truth_table(aig, divisor, leaves) & mask
-
     def divisor_literal(divisor: int, complemented: bool) -> int:
         literal = pass_state.resolve(divisor * 2)
         return lit_not(literal) if complemented else literal
 
-    if freed < 1:
-        return None
-
     # 0-resub: the node equals an existing divisor (up to complement).
-    for divisor, table in divisor_tables.items():
-        if table == target:
+    complement = ~target & mask
+    for divisor in divisors:
+        if tables[divisor] == target:
             return divisor_literal(divisor, False)
-        if table == (~target & mask):
+        if tables[divisor] == complement:
             return divisor_literal(divisor, True)
 
     if not try_one_resub or freed < 2:
         return None
 
     # 1-resub: the node equals AND/OR of two divisors in some polarity.
-    for (div_a, table_a), (div_b, table_b) in combinations(divisor_tables.items(), 2):
+    complements = {divisor: ~tables[divisor] & mask for divisor in divisors}
+    for div_a, div_b in combinations(divisors, 2):
         for comp_a in (False, True):
+            term_a = complements[div_a] if comp_a else tables[div_a]
             for comp_b in (False, True):
-                term_a = (~table_a & mask) if comp_a else table_a
-                term_b = (~table_b & mask) if comp_b else table_b
+                term_b = complements[div_b] if comp_b else tables[div_b]
                 if (term_a & term_b) == target:
                     lit_a = divisor_literal(div_a, comp_a)
                     lit_b = divisor_literal(div_b, comp_b)

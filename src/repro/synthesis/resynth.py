@@ -128,25 +128,26 @@ def cut_cone_gain(aig: AIG, root: int, leaves: tuple[int, ...],
 
     This is the size of the maximum fanout-free cone of ``root`` restricted
     to the cone above ``leaves``: nodes between the leaves and the root whose
-    only fanouts lie inside that cone.
+    only fanouts lie inside that cone.  ``fanout_counts`` is only read; the
+    decremented counts live in a dict of the cone nodes touched.
     """
-    leaf_set = set(leaves)
-    reference = list(fanout_counts)
-
-    def deref(var: int) -> int:
-        count = 1
-        lit0, lit1 = aig.fanins(var)
-        for fanin_var in (lit_var(lit0), lit_var(lit1)):
-            if fanin_var in leaf_set or not aig.is_and(fanin_var):
-                continue
-            reference[fanin_var] -= 1
-            if reference[fanin_var] == 0:
-                count += deref(fanin_var)
-        return count
-
-    if not aig.is_and(root):
+    fanin_array = aig.fanin_array
+    if fanin_array[root] is None:
         return 0
-    return deref(root)
+    remaining: dict[int, int] = {}
+    freed = 0
+    stack = [root]
+    while stack:
+        freed += 1
+        for fanin in fanin_array[stack.pop()]:
+            fanin_var = fanin >> 1
+            if fanin_var in leaves or fanin_array[fanin_var] is None:
+                continue
+            count = remaining.get(fanin_var, fanout_counts[fanin_var]) - 1
+            remaining[fanin_var] = count
+            if count == 0:
+                stack.append(fanin_var)
+    return freed
 
 
 class ReplacementPass:
@@ -167,18 +168,18 @@ class ReplacementPass:
 
     def resolve(self, literal: int) -> int:
         """Return the current replacement literal for ``literal``."""
-        complemented = lit_is_complemented(literal)
-        var = lit_var(literal)
+        substitution = self._substitution
+        var = literal >> 1
+        if var not in substitution:
+            return literal
+        complemented = literal & 1
         seen = set()
-        while var in self._substitution:
-            if var in seen:
-                break
+        while var in substitution and var not in seen:
             seen.add(var)
-            target = self._substitution[var]
-            complemented ^= lit_is_complemented(target)
-            var = lit_var(target)
-        base = var * 2
-        return lit_not(base) if complemented else base
+            target = substitution[var]
+            complemented ^= target & 1
+            var = target >> 1
+        return 2 * var + complemented
 
     def replace(self, var: int, new_literal: int) -> None:
         """Record that node ``var`` is now computed by ``new_literal``.

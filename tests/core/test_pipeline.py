@@ -12,6 +12,7 @@ from repro.core import (
     ours_pipeline,
     run_pipeline,
 )
+from repro.errors import PipelineError, ReproError
 from repro.sat import cadical_like, kissat_like, solve_cnf
 
 
@@ -73,6 +74,23 @@ class TestRunPipeline:
         instance = lec_instance(ripple_carry_adder(6), equivalent=True)
         run = run_pipeline(instance, "Baseline", max_decisions=1)
         assert run.status in ("UNKNOWN", "UNSAT")
+
+    @pytest.mark.parametrize("spelling, registry_name",
+                             [("baseline", "Baseline"), ("comp.", "Comp."),
+                              ("ours", "Ours")])
+    def test_run_by_lower_case_name(self, spelling, registry_name):
+        run = run_pipeline(_sat_instance(), spelling, config=kissat_like())
+        assert run.pipeline_name == registry_name
+        assert run.status == "SAT"
+
+    def test_unknown_name_lists_the_valid_spellings(self):
+        with pytest.raises(PipelineError) as raised:
+            run_pipeline(_sat_instance(), "turbo")
+        assert isinstance(raised.value, ReproError)
+        message = str(raised.value)
+        assert "'turbo'" in message
+        for spelling in ("Baseline", "Comp.", "Ours", "baseline", "comp", "comp.", "ours"):
+            assert spelling in message
 
     def test_pipelines_agree_on_status(self):
         for builder in (_sat_instance, _unsat_instance):

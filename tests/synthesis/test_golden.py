@@ -5,6 +5,8 @@ change constant factors only.  These digests were recorded from the
 reference implementation: the sha256 of ``write_aiger`` after every
 operation of the Ours default recipe and of the Comp. (compress2) recipe, on
 two seeded ``generate_test_suite`` instances where every operator does work.
+The LUT mapper consumes the same cut engine, so its k=4 netlist of each
+instance after the Ours recipe is pinned too, under both cost functions.
 A mismatch means a synthesis result changed, not just its speed.
 """
 
@@ -14,6 +16,8 @@ import pytest
 
 from repro.aig.aiger import write_aiger
 from repro.benchgen import generate_test_suite
+from repro.mapping.cost import area_cost, branching_cost
+from repro.mapping.mapper import map_aig
 from repro.synthesis import apply_operation
 from repro.synthesis.recipe import COMPRESS2_RECIPE
 
@@ -65,7 +69,21 @@ GOLDEN = {
     ],
 }
 
+#: (instance, cost) -> (LUTs, total cost, sha256 of the netlist text) of the
+#: k=4 mapping of the instance after the Ours recipe.
+GOLDEN_MAPPING = {
+    ("alu4_stuck_at", "area"): (
+        4, 4.0, "9ca6b8f3d0792a686b4605cf8b39d479a90f02bfe2df68e83dee26d8d2348b0e"),
+    ("alu4_stuck_at", "branching"): (
+        4, 20.0, "9ca6b8f3d0792a686b4605cf8b39d479a90f02bfe2df68e83dee26d8d2348b0e"),
+    ("rca16_stuck_at", "area"): (
+        48, 48.0, "817dee6a9aebfc12e942d6ec823a41760246dd9234cb71f416f76e069ac06f09"),
+    ("rca16_stuck_at", "branching"): (
+        51, 242.0, "06cb8626ee977e22e46be673103e8f34e67d98c74d8de6b4e5a7c109ced82b62"),
+}
+
 RECIPES = {"ours": OURS_RECIPE, "comp": COMPRESS2_RECIPE}
+COSTS = {"area": area_cost, "branching": branching_cost}
 
 
 @pytest.fixture(scope="module")
@@ -83,3 +101,24 @@ def test_recipe_outputs_match_golden_digests(instances, label, recipe_name):
         digest = hashlib.sha256(write_aiger(current).encode()).hexdigest()
         observed.append((current.num_ands, digest))
     assert observed == GOLDEN[(label, recipe_name)]
+
+
+def _netlist_text(netlist):
+    """One line per PI, LUT and PO: everything a mapping decides."""
+    lines = [f"pi {node} {name}"
+             for node, name in zip(netlist.pis, netlist.pi_names)]
+    lines += [f"lut {lut.node_id} {' '.join(map(str, lut.inputs))} {lut.table:x}"
+              for lut in netlist.luts()]
+    lines += [f"po {node} {int(complemented)} {name}"
+              for (node, complemented), name in zip(netlist.pos, netlist.po_names)]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("label, cost_name", sorted(GOLDEN_MAPPING))
+def test_mapping_after_ours_matches_golden(instances, label, cost_name):
+    current = instances[label]
+    for name in OURS_RECIPE:
+        current = apply_operation(current, name)
+    result = map_aig(current, k=4, cost_fn=COSTS[cost_name])
+    digest = hashlib.sha256(_netlist_text(result.netlist).encode()).hexdigest()
+    assert (result.num_luts, result.total_cost, digest) == GOLDEN_MAPPING[(label, cost_name)]
