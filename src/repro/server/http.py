@@ -20,13 +20,14 @@ GET       ``/healthz``                Liveness + queue/worker vital signs.
 GET       ``/metricsz``               The metrics registry snapshot.
 ========  ==========================  =========================================
 
-Protection at the socket edge (the service protects the pool; this layer
-protects the *event loop*):
+Protection at the socket edge (the service protects its workers; this
+layer protects the *event loop*):
 
 * header and body read budgets (``header_timeout`` / ``body_timeout``) —
   a slow-loris client is disconnected, never parked indefinitely;
-* ``max_body`` caps payload bytes (HTTP 413) and ``readuntil`` overruns
-  cap header bytes (431);
+* ``max_body`` caps payload bytes (HTTP 413), a malformed or negative
+  ``Content-Length`` is refused (400), and ``readuntil`` overruns cap
+  header bytes (431);
 * admission refusals surface as HTTP 429/503 with a ``Retry-After``
   header, so well-behaved clients back off instead of hammering;
 * the chaos hook ``take_drop_client`` aborts connections mid-response to
@@ -137,7 +138,14 @@ class HttpServer:
                                         {"error": "malformed request"})
                     return
                 method, path, query, headers = request
-                length = int(headers.get("content-length", "0") or "0")
+                try:
+                    length = int(headers.get("content-length", "0") or "0")
+                except ValueError:
+                    length = -1
+                if length < 0:
+                    await self._respond(writer, 400,
+                                        {"error": "invalid content-length"})
+                    return
                 if length > self.max_body:
                     await self._respond(writer, 413,
                                         {"error": "payload too large"})

@@ -2,7 +2,7 @@
 
 A submission's JSON body is validated at the admission edge by
 :func:`parse_job` (bad requests are rejected with HTTP 400 *before* they
-cost a pool slot) into the same :class:`~repro.runner.task.Task` the batch
+cost a worker) into the same :class:`~repro.runner.task.Task` the batch
 runner executes, and run in a worker process by :func:`execute_job`.
 
 Three kinds of work are served:
@@ -112,7 +112,7 @@ def parse_job(data: object) -> Task:
             raise BadRequest(f"{key} must be a JSON object")
     if data.get("backend_kwargs"):
         # Building the backend validates its options without probing the
-        # machine, so a bad option is refused here, not on a pool worker.
+        # machine, so a bad option is refused here, not on a worker.
         try:
             get_backend(backend, **data["backend_kwargs"])
         except (BackendError, TypeError) as error:
@@ -152,7 +152,7 @@ def parse_job(data: object) -> Task:
 
 
 def execute_job(task: Task) -> dict:
-    """Pool entry point: run one task to its terminal response dict.
+    """Worker entry point: run one task to its terminal response dict.
 
     A proof request gets a temporary path whose proof (and the CNF it
     refutes) are returned inline with an ``UNSAT`` verdict.  A job the

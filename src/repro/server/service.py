@@ -1,9 +1,19 @@
-"""The solve service: admission control, scheduling and pool supervision.
+"""The solve service: admission control, dispatch and worker supervision.
 
 :class:`SolveService` is the transport-independent heart of ``repro
-serve``.  It owns a persistent :class:`~concurrent.futures.
-ProcessPoolExecutor` (the batch runner's worker model, kept warm across
-requests) and an asyncio scheduler multiplexing accepted jobs onto it.
+serve``.  It owns ``jobs`` forked worker processes, kept warm across
+requests, and dispatches accepted jobs to them from the asyncio event
+loop.
+
+**Worker model.**  Each worker owns one duplex :mod:`multiprocessing`
+pipe and loops: receive a :class:`~repro.runner.task.Task`, run it
+through :func:`repro.server.jobs.execute_job`, send back the result
+dict.  A worker is either idle or owns exactly one job, so dispatch is a
+synchronous "start queued jobs while a worker is idle", run whenever a
+job is queued or settles.  The event loop watches every pipe with
+``loop.add_reader``: a job costs one pickle each way and no executor
+thread.  Workers are forked in :meth:`SolveService.start`, before any
+client socket exists.
 
 Robustness properties, in the order a request meets them:
 
@@ -11,25 +21,31 @@ Robustness properties, in the order a request meets them:
   client spends a token-bucket quota (429 + ``Retry-After`` when empty);
   the bounded queue rejects at ``shed_at`` occupancy ("overloaded") and
   hard-rejects when full ("queue-full"), both with a ``Retry-After``
-  derived from recent service times.
+  derived from recent service times.  Buckets that have refilled are
+  dropped once the map grows past a fixed size, so client ids cannot
+  grow it without bound.
 * **Dedup / memoization** — submissions are keyed by the job's
   content-hash fingerprint: a result already in the attached store is
-  returned without costing a pool slot, and a duplicate of a job
+  returned without costing a worker, and a duplicate of a job
   currently queued or running attaches to that job instead of spawning a
   second execution.  Proof-bearing jobs bypass both directions, matching
   the batch runner's cache semantics.
-* **Supervision** — a worker death (OOM kill, segfault, chaos) breaks
-  the pool; the service rebuilds it and requeues the victim under a
-  bounded :class:`repro.resilience.Supervisor` budget.  A job whose
-  retries are exhausted ends as a terminal ``ERROR`` result — an
-  accepted job always reaches a terminal state, it is never silently
-  lost.
+* **Crash isolation** — EOF or an error on a worker's pipe means that
+  worker died (OOM kill, segfault, chaos), even mid-message.  The
+  service reaps it, forks one replacement and retries only the victim's
+  job under a bounded :class:`repro.resilience.Supervisor` budget; other
+  in-flight jobs are untouched.  A job whose retries are exhausted ends
+  as a terminal ``ERROR`` result — an accepted job always reaches a
+  terminal state, it is never silently lost.
 * **Load-shedding ladder** — (1) new work is shed at high occupancy;
   (2) when the queue is full *and* its head has waited longer than
   ``queue_wait_limit``, queued jobs are cancelled newest-first to shed
   real load; (3) :meth:`shutdown` (SIGTERM) stops intake, cancels the
   queue, and drains in-flight jobs within a grace budget before
-  terminating what remains.
+  force-cancelling what remains.
+* **Reaping** — :meth:`shutdown` kills, then joins, every worker,
+  including one still running a force-cancelled job, so no worker
+  outlives the service and its CPU time is accounted to the server.
 
 Counters (``server.accepted`` / ``server.shed`` / ``server.dedup_hits``
 / ``server.active`` …) land in the :mod:`repro.obs` metrics registry and
@@ -39,12 +55,15 @@ are exposed by the HTTP layer's ``/metricsz``.
 from __future__ import annotations
 
 import asyncio
+import atexit
 import logging
+import multiprocessing
+import signal
 import time
 from collections import OrderedDict, deque
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
+from multiprocessing.connection import Connection
+from multiprocessing.process import BaseProcess
 from typing import Callable
 
 from repro.core.results import UNCACHED_STATUSES
@@ -80,10 +99,43 @@ SERVER_RECORD_VERSION = 1
 #: Terminal job states.
 TERMINAL_STATES = ("done", "cancelled")
 
+#: Client quota buckets kept before refilled ones are dropped.
+_MAX_BUCKETS = 1024
 
-def _warm_worker() -> None:
-    """Pool warm-up task (must be a picklable module-level function)."""
-    return None
+#: Workers are forked: they inherit the registered pipelines and the
+#: chaos/trace state of the server, as the batch runner's workers do.
+_FORK = multiprocessing.get_context("fork")
+
+
+def _worker_main(conn: Connection, inherited: list[Connection],
+                 mem_limit_mb: float | None) -> None:
+    """A worker's life: receive a task, send back its result, repeat.
+
+    Runs in the forked child.  It closes the copies of the parent's pipe
+    ends it inherited, so it sees EOF, and exits, once the server is
+    gone.  It also takes back the signal dispositions the server's event
+    loop replaced: SIGTERM stops it, and SIGINT is left to the server,
+    which drains and then terminates its workers.
+    """
+    for other in inherited:
+        other.close()
+    signal.set_wakeup_fd(-1)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    install_worker_limits(mem_limit_mb)
+    while True:
+        try:
+            task = conn.recv()
+        except EOFError:
+            return
+        try:
+            result = execute_job(task)
+        except Exception as error:  # noqa: BLE001 - answer, never die
+            logger.exception("job %s failed in its worker",
+                             task.instance_name)
+            result = {"kind": task.kind, "status": "ERROR",
+                      "error": f"internal worker error: {error}"}
+        conn.send(result)
 
 
 class AdmissionError(ReproError):
@@ -107,6 +159,11 @@ class TokenBucket:
         self._clock = clock
         self._tokens = burst
         self._stamp = clock()
+
+    def full(self) -> bool:
+        """True once the bucket has refilled: it equals a fresh one."""
+        refilled = self._tokens + (self._clock() - self._stamp) * self.rate
+        return refilled >= self.burst
 
     def take(self) -> float:
         """Spend one token; return 0.0, or the seconds until one exists."""
@@ -144,8 +201,17 @@ class Job:
         return self.state in TERMINAL_STATES
 
 
+@dataclass(eq=False)
+class _Worker:
+    """One forked worker process and the server's end of its pipe."""
+
+    process: BaseProcess
+    conn: Connection
+    job: Job | None = None      # running, or held for a retry's backoff
+
+
 class SolveService:
-    """Admission control + scheduler + supervised pool, transport-free.
+    """Admission control + dispatch + supervised workers, transport-free.
 
     ``clock`` is injectable so quota and queue-age tests run instantly;
     everything observable (metrics, job states) is exercised without a
@@ -176,65 +242,40 @@ class SolveService:
         tracer = get_tracer()
         self.metrics = tracer.metrics if tracer.enabled else MetricsRegistry()
         self.supervisor = Supervisor(_CRASH_POLICY, sleep=lambda _s: None)
-        self._pool: ProcessPoolExecutor | None = None
+        self._loop: asyncio.AbstractEventLoop | None = None
+        self._workers: list[_Worker] = []
         self._pool_generation = 0
-        self._pool_lock: asyncio.Lock | None = None
         self._queue: deque[Job] = deque()
-        self._queue_kick: asyncio.Event | None = None
         self._active: set[Job] = set()
-        self._tasks: dict[str, asyncio.Task] = {}
         self._inflight: dict[str, Job] = {}
         self._jobs: OrderedDict[str, Job] = OrderedDict()
         self._buckets: dict[str, TokenBucket] = {}
+        self._bucket_limit = _MAX_BUCKETS
         self._max_finished = max_finished
         self._counter = 0
-        self._scheduler: asyncio.Task | None = None
         self._service_times: deque[float] = deque(maxlen=32)
 
     # ------------------------------------------------------------------ #
     # Lifecycle
 
     async def start(self) -> None:
-        """Build the pool and start the scheduler (idempotent)."""
-        if self._scheduler is not None:
+        """Fork the workers and start dispatching (idempotent).
+
+        The workers are forked now, not lazily on first submit: a worker
+        forked mid-request inherits every open fd — including accepted
+        client sockets, which then never see EOF when the server closes
+        them.
+        """
+        if self._workers:
             return
-        self._pool_lock = asyncio.Lock()
-        self._queue_kick = asyncio.Event()
-        if self._queue:  # submissions accepted before start
-            self._queue_kick.set()
-        self._build_pool()
-        self._scheduler = asyncio.get_running_loop().create_task(
-            self._schedule(), name="repro-server-scheduler")
-
-    def _build_pool(self) -> None:
-        initializer = None
-        initargs: tuple = ()
-        if self.default_mem_limit_mb:
-            initializer = install_worker_limits
-            initargs = (self.default_mem_limit_mb,)
-        self._pool = ProcessPoolExecutor(max_workers=self.jobs,
-                                         initializer=initializer,
-                                         initargs=initargs)
-        self._pool_generation += 1
-        # Fork the workers NOW, not lazily on first submit: a worker forked
-        # mid-request inherits every open fd — including accepted client
-        # sockets, which then never see EOF when the server closes them.
+        self._loop = asyncio.get_running_loop()
         for _ in range(self.jobs):
-            self._pool.submit(_warm_worker)
-
-    async def _ensure_pool(self, broken_generation: int) -> None:
-        """Replace a broken pool exactly once per generation."""
-        assert self._pool_lock is not None
-        async with self._pool_lock:
-            if self._pool_generation != broken_generation:
-                return  # someone else already rebuilt it
-            pool, self._pool = self._pool, None
-            if pool is not None:
-                pool.shutdown(wait=False, cancel_futures=True)
-            self._build_pool()
-            self.metrics.counter("server.pool_rebuilds").inc()
-            logger.warning("worker pool died; rebuilt (generation %d)",
-                           self._pool_generation)
+            self._workers.append(self._fork_worker())
+        self._pool_generation += 1
+        # Runs before multiprocessing's own exit hook, which would join
+        # workers still blocked on a pipe the server holds open.
+        atexit.register(self._stop_workers)
+        self._dispatch()  # submissions accepted before start
 
     async def shutdown(self, grace: float = 10.0) -> None:
         """Graceful drain: stop intake, cancel queued, bound in-flight.
@@ -242,48 +283,74 @@ class SolveService:
         The final rung of the shedding ladder and the SIGTERM handler.
         Every queued job becomes terminal ``CANCELLED``; in-flight jobs
         get ``grace`` seconds to finish before being force-cancelled.
-        Always leaves the pool stopped.
+        Always leaves every worker terminated and reaped.
         """
         self.draining = True
-        for job in list(self._queue):
+        queued, self._queue = self._queue, deque()
+        for job in queued:
             self._cancel_job(job, "shutdown")
-        self._queue.clear()
-        if self._queue_kick is not None:
-            self._queue_kick.set()
-        pending = [task for task in self._tasks.values() if not task.done()]
-        forced = False
-        if pending:
-            done, not_done = await asyncio.wait(pending, timeout=grace)
-            forced = bool(not_done)
-            for task in not_done:
-                task.cancel()
-            if not_done:
-                await asyncio.wait(not_done, timeout=1.0)
+        if self._active:
+            waiters = [asyncio.ensure_future(job.done_event.wait())
+                       for job in self._active]
+            _done, late = await asyncio.wait(waiters, timeout=grace)
+            for waiter in late:
+                waiter.cancel()
         for job in list(self._active):
-            # A job still active past the grace budget is force-terminated.
+            # Past the grace budget: stopping the workers below
+            # terminates the one still running this job.
             self._cancel_job(job, "shutdown-deadline")
-        self._active.clear()
-        if forced and self._pool is not None:
-            # Workers may still be grinding on force-cancelled jobs; they
-            # must not block process exit past the grace budget.
-            try:
-                for proc in list(getattr(self._pool, "_processes",
-                                         {}).values()):
-                    proc.terminate()
-            except Exception:  # pragma: no cover - interpreter differences
-                pass
-        if self._scheduler is not None:
-            self._scheduler.cancel()
-            try:
-                await self._scheduler
-            except (asyncio.CancelledError, Exception):
-                pass
-            self._scheduler = None
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
-        logger.info("service drained: %d jobs served",
-                    self._counter)
+        self._stop_workers()
+        logger.info("service drained: %d jobs served", self._counter)
+
+    # ------------------------------------------------------------------ #
+    # Workers
+
+    def _fork_worker(self) -> _Worker:
+        """Fork one worker and watch its pipe from the event loop."""
+        assert self._loop is not None
+        ours, theirs = _FORK.Pipe()
+        inherited = [ours] + [worker.conn for worker in self._workers]
+        process = _FORK.Process(
+            target=_worker_main, name="repro-server-worker",
+            args=(theirs, inherited, self.default_mem_limit_mb))
+        process.start()
+        theirs.close()
+        worker = _Worker(process, ours)
+        self._loop.add_reader(ours.fileno(), self._on_reply, worker)
+        return worker
+
+    def _reap(self, worker: _Worker) -> None:
+        """Kill ``worker``, stop watching its pipe and wait for its exit.
+
+        SIGKILL, not SIGTERM: a worker forked after the event loop took
+        over SIGTERM ignores it until it has reset the disposition.
+        """
+        worker.process.kill()
+        assert self._loop is not None
+        self._loop.remove_reader(worker.conn.fileno())
+        worker.conn.close()
+        worker.process.join()
+
+    def _replace(self, worker: _Worker, error: BaseException) -> None:
+        """A worker died: reap it, fork its successor, retry its job."""
+        self._reap(worker)
+        fresh = self._fork_worker()
+        self._workers[self._workers.index(worker)] = fresh
+        self._pool_generation += 1
+        self.metrics.counter("server.pool_rebuilds").inc()
+        logger.warning("worker %d died (%s); replaced (generation %d)",
+                       worker.process.pid, type(error).__name__,
+                       self._pool_generation)
+        job = worker.job
+        if job is not None and not job.terminal:
+            self._retry(fresh, job, error)
+
+    def _stop_workers(self) -> None:
+        """Reap every worker: none outlives the service."""
+        atexit.unregister(self._stop_workers)
+        workers, self._workers = self._workers, []
+        for worker in workers:
+            self._reap(worker)
 
     # ------------------------------------------------------------------ #
     # Admission
@@ -317,7 +384,8 @@ class SolveService:
     def submit(self, task: Task, client: str = "anonymous") -> tuple[Job, str]:
         """Admit one task; returns ``(job, outcome)`` or raises.
 
-        ``outcome`` is ``"accepted"`` (job queued), ``"cached"`` (store
+        ``outcome`` is ``"accepted"`` (job queued, or already sent to an
+        idle worker), ``"cached"`` (store
         memo hit — the returned job is already terminal), or ``"dedup"``
         (attached to an identical queued/running job).  Raises
         :class:`AdmissionError` (429/503) when the door is closed.
@@ -332,6 +400,8 @@ class SolveService:
                                  status=503, retry_after=5.0)
         bucket = self._buckets.get(client)
         if bucket is None:
+            if len(self._buckets) >= self._bucket_limit:
+                self._drop_full_buckets()
             bucket = TokenBucket(self.quota_rate, self.quota_burst,
                                  clock=self.clock)
             self._buckets[client] = bucket
@@ -373,9 +443,21 @@ class SolveService:
         self._queue.append(job)
         self.metrics.counter("server.accepted").inc()
         self.metrics.gauge("server.queued").set(len(self._queue))
-        if self._queue_kick is not None:
-            self._queue_kick.set()
+        self._dispatch()
         return job, "accepted"
+
+    def _drop_full_buckets(self) -> None:
+        """Forget every client whose bucket has refilled to ``burst``.
+
+        Client ids are client-controlled, so the map must not keep one
+        bucket per id forever; a full bucket is indistinguishable from
+        the fresh one a returning client would get.  The next sweep
+        waits until the map doubles, so one burst of many active clients
+        costs linear, not quadratic, time.
+        """
+        self._buckets = {client: bucket for client, bucket
+                         in self._buckets.items() if not bucket.full()}
+        self._bucket_limit = max(_MAX_BUCKETS, 2 * len(self._buckets))
 
     def _new_job(self, task: Task, fingerprint: str, client: str) -> Job:
         self._counter += 1
@@ -431,72 +513,74 @@ class SolveService:
         self.metrics.counter("server.cancelled").inc()
 
     # ------------------------------------------------------------------ #
-    # Scheduling and execution
+    # Dispatch and execution
 
-    async def _schedule(self) -> None:
-        assert self._queue_kick is not None
-        loop = asyncio.get_running_loop()
-        while True:
-            while self._queue and len(self._active) < self.jobs:
-                job = self._queue.popleft()
-                if job.terminal:
-                    continue
-                job.state = "running"
-                job.started_at = self.clock()
-                self._active.add(job)
-                self.metrics.gauge("server.active").set(len(self._active))
-                self.metrics.gauge("server.queued").set(len(self._queue))
-                self._tasks[job.id] = loop.create_task(
-                    self._run_job(job), name=f"repro-job-{job.id}")
-            self._queue_kick.clear()
-            if not self._queue or len(self._active) >= self.jobs:
-                await self._queue_kick.wait()
+    def _dispatch(self) -> None:
+        """Start queued jobs while a worker is idle."""
+        while self._queue:
+            worker = next((w for w in self._workers if w.job is None), None)
+            if worker is None:
+                break
+            job = self._queue.popleft()
+            if job.terminal:
+                continue
+            job.state = "running"
+            job.started_at = self.clock()
+            worker.job = job
+            self._active.add(job)
+            self.metrics.gauge("server.active").set(len(self._active))
+            self.metrics.gauge("server.queued").set(len(self._queue))
+            self._send(worker)
 
-    async def _run_job(self, job: Job) -> None:
-        """Execute one job on the pool, surviving worker death.
+    def _send(self, worker: _Worker) -> None:
+        """Hand ``worker`` its job: one pickle down the pipe."""
+        if worker not in self._workers:
+            return  # stopped or replaced during a retry's backoff
+        job = worker.job
+        assert job is not None
+        try:
+            get_chaos().on_pool_submit()
+        except OSError as error:
+            self._retry(worker, job, error)
+            return
+        try:
+            worker.conn.send(job.task)
+        except OSError as error:
+            self._replace(worker, error)
+
+    def _on_reply(self, worker: _Worker) -> None:
+        """``worker``'s pipe is readable: its job's result, or its death."""
+        try:
+            result = worker.conn.recv()
+        except (EOFError, OSError) as error:  # dead, even mid-message
+            self._replace(worker, error)
+            return
+        job, worker.job = worker.job, None
+        assert job is not None
+        self._finish_job(job, result)
+
+    def _retry(self, worker: _Worker, job: Job, error: BaseException) -> None:
+        """Resend ``job`` on ``worker`` after a backoff, within budget.
 
         Exhausting the retry budget produces a terminal ``ERROR`` result;
         nothing accepted ever goes unanswered.
         """
-        tracer = get_tracer()
-        try:
-            while True:
-                generation = self._pool_generation
-                try:
-                    get_chaos().on_pool_submit()
-                    assert self._pool is not None
-                    future = self._pool.submit(execute_job, job.task)
-                    result = await asyncio.wrap_future(future)
-                    self._finish_job(job, result)
-                    return
-                except (BrokenProcessPool, OSError, RuntimeError) as error:
-                    if job.terminal:  # cancelled while we were running
-                        return
-                    self.metrics.counter("server.worker_retries").inc()
-                    tracer.event("server_retry", job=job.id,
-                                 error=type(error).__name__)
-                    retry = self.supervisor.note_failure(
-                        job.fingerprint, error, transient=True, wait=False)
-                    if isinstance(error, BrokenProcessPool):
-                        await self._ensure_pool(generation)
-                    if not retry:
-                        logger.error("job %s exhausted retries: %s",
-                                     job.id, error)
-                        self._finish_job(job, {
-                            "kind": job.task.kind, "status": "ERROR",
-                            "error": f"retries exhausted: {error}"})
-                        return
-                    attempt = self.supervisor.attempts(job.fingerprint)
-                    await asyncio.sleep(
-                        self.supervisor.policy.delay(attempt,
-                                                     job.fingerprint))
-        except asyncio.CancelledError:
-            self._cancel_job(job, "shutdown")
-            raise
-        except Exception:  # noqa: BLE001 - scheduler must survive anything
-            logger.exception("job %s failed unexpectedly", job.id)
+        self.metrics.counter("server.worker_retries").inc()
+        get_tracer().event("server_retry", job=job.id,
+                           error=type(error).__name__)
+        if not self.supervisor.note_failure(job.fingerprint, error,
+                                            transient=True, wait=False):
+            logger.error("job %s exhausted retries: %s", job.id, error)
+            worker.job = None
             self._finish_job(job, {"kind": job.task.kind, "status": "ERROR",
-                                   "error": "internal scheduler error"})
+                                   "error": f"retries exhausted: {error}"})
+            return
+        worker.job = job  # held for the job while it backs off
+        attempt = self.supervisor.attempts(job.fingerprint)
+        assert self._loop is not None
+        self._loop.call_later(
+            self.supervisor.policy.delay(attempt, job.fingerprint),
+            self._send, worker)
 
     def _finish_job(self, job: Job, result: dict) -> None:
         if job.terminal:
@@ -514,15 +598,13 @@ class SolveService:
             self.metrics.histogram("server.latency_ms").observe(
                 1000.0 * (job.finished_at - job.submitted_at))
         self._active.discard(job)
-        self._tasks.pop(job.id, None)
         if self._inflight.get(job.fingerprint) is job:
             del self._inflight[job.fingerprint]
         self.metrics.gauge("server.active").set(len(self._active))
         if state == "done":
             self.metrics.counter("server.completed").inc()
         job.done_event.set()
-        if self._queue_kick is not None:
-            self._queue_kick.set()
+        self._dispatch()
 
     def _persist(self, job: Job, result: dict) -> None:
         """Best-effort memoization; a failing store never fails the job."""

@@ -186,6 +186,23 @@ def test_payload_too_large_is_413():
     asyncio.run(run())
 
 
+def test_invalid_content_length_is_400_and_server_survives():
+    async def body(port, service):
+        for value in ("abc", "-5"):
+            status, _, payload = await _request(
+                port, "POST", "/v1/jobs", headers={"content-length": value})
+            assert status == 400, value
+            assert payload == {"error": "invalid content-length"}
+        status, _, health = await _request(port, "GET", "/healthz")
+        assert status == 200
+        assert health["status"] == "serving"
+        status, _, job = await _request(port, "POST", "/v1/jobs?wait=30",
+                                        body=_body(5))
+        assert status == 200 and job["state"] == "done"
+
+    asyncio.run(_with_server(body))
+
+
 def test_slow_loris_is_cut_off_and_server_survives():
     async def run():
         service = SolveService(jobs=1, quota_burst=100)

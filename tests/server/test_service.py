@@ -1,7 +1,13 @@
 """SolveService: admission, quotas, shedding ladder, supervision."""
 
 import asyncio
+import os
+import signal
+import subprocess
+import sys
+import textwrap
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -10,7 +16,12 @@ from repro.benchgen import random_cnf
 from repro.resilience.chaos import ChaosSpec, use_chaos
 from repro.runner.store import ShardedResultStore, StoreError
 from repro.server.jobs import parse_job
-from repro.server.service import AdmissionError, SolveService, TokenBucket
+from repro.server.service import (
+    _MAX_BUCKETS,
+    AdmissionError,
+    SolveService,
+    TokenBucket,
+)
 
 
 def _spec(seed=1, **extra):
@@ -78,6 +89,36 @@ class TestAdmission:
         clock.now += 2.0
         service.submit(_spec(4), client="alice")
         assert service.metrics.counter("server.shed").value == 1
+
+    def test_quota_buckets_of_many_clients_stay_bounded(self):
+        clock = FakeClock()
+        service = SolveService(quota_rate=50.0, quota_burst=100.0,
+                               clock=clock)
+        task = _spec(1)
+        for index in range(10_000):
+            clock.now += 0.05  # every earlier bucket has refilled by now
+            service.submit(task, client=f"client-{index}")
+        assert len(service._buckets) <= _MAX_BUCKETS
+
+    def test_dropping_full_buckets_keeps_an_active_clients_quota(self):
+        clock = FakeClock()
+        service = SolveService(quota_rate=1.0, quota_burst=2.0, clock=clock)
+        task = _spec(1)
+        service.submit(task, client="alice")
+        service.submit(task, client="alice")
+        # 10 000 other clients arrive over 1.5 s; each spends one token,
+        # so the early ones refill to burst and are dropped, while
+        # alice, drained to zero, is still 0.5 tokens short.
+        for index in range(10_000):
+            clock.now += 0.00015
+            service.submit(task, client=f"client-{index}")
+        assert len(service._buckets) < 10_000
+        service.submit(task, client="alice")  # 1.5 tokens -> 0.5
+        with pytest.raises(AdmissionError) as info:
+            service.submit(task, client="alice")
+        assert info.value.status == 429
+        assert info.value.reason == "quota"
+        assert info.value.retry_after == pytest.approx(0.5)
 
     def test_overload_shed_below_hard_queue_limit(self):
         service = SolveService(max_queue=4, shed_at=0.5, quota_burst=100)
@@ -277,3 +318,146 @@ class TestExecution:
         assert health["capacity"] == 10
         snapshot = service.metrics_snapshot()
         assert snapshot["counters"]["server.accepted"]["value"] == 1
+
+
+def _worker_pids(service):
+    return [worker.process.pid for worker in service._workers]
+
+
+def _reaped(pid):
+    """True iff ``pid`` has exited and been waited for already."""
+    try:
+        os.waitpid(pid, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+class TestDispatch:
+    def test_sequential_jobs_reuse_one_worker(self):
+        async def main():
+            service = SolveService(jobs=1, quota_burst=100)
+
+            async def body():
+                pids = _worker_pids(service)
+                for seed in range(20):
+                    job, _ = service.submit(_spec(100 + seed))
+                    await _finish(job)
+                    assert job.result["status"] in ("SAT", "UNSAT")
+                    assert _worker_pids(service) == pids
+                return pids
+
+            return await _serve(service, body), service
+
+        pids, service = asyncio.run(main())
+        assert service.health()["pool_generation"] == 1
+        assert service.metrics.counter("server.pool_rebuilds").value == 0
+        assert all(_reaped(pid) for pid in pids)
+
+    def test_worker_death_replaces_one_worker_and_retries_one_job(
+            self, tmp_path, monkeypatch):
+        flags = tmp_path / "flags"
+        flags.mkdir()
+        monkeypatch.setenv("REPRO_CHAOS", f"kill_task=victim,flags={flags}")
+
+        async def main():
+            service = SolveService(jobs=2, quota_burst=100)
+
+            async def body():
+                before = _worker_pids(service)
+                victim, _ = service.submit(_spec(131, name="victim-1"))
+                other, _ = service.submit(_spec(132, name="bystander-1"))
+                assert victim.state == other.state == "running"
+                await _finish(victim)
+                await _finish(other)
+                return victim, other, before, _worker_pids(service)
+
+            return await _serve(service, body), service
+
+        (victim, other, before, after), service = asyncio.run(main())
+        for job in (victim, other):
+            assert job.state == "done"
+            assert job.result["status"] in ("SAT", "UNSAT")
+        assert service.supervisor.attempts(victim.fingerprint) == 1
+        assert service.supervisor.attempts(other.fingerprint) == 0
+        assert service.metrics.counter("server.worker_retries").value == 1
+        assert service.metrics.counter("server.pool_rebuilds").value == 1
+        assert service.health()["pool_generation"] == 2
+        assert len(set(before) & set(after)) == 1  # one worker replaced
+        assert all(_reaped(pid) for pid in set(before) | set(after))
+
+    def test_idle_worker_death_is_replaced_without_a_retry(self):
+        async def main():
+            service = SolveService(jobs=1, quota_burst=100)
+
+            async def body():
+                [pid] = _worker_pids(service)
+                os.kill(pid, signal.SIGKILL)
+                for _ in range(200):  # until the loop reads the EOF
+                    if _worker_pids(service) != [pid]:
+                        break
+                    await asyncio.sleep(0.05)
+                job, _ = service.submit(_spec(151))
+                await _finish(job)
+                return pid, job
+
+            return await _serve(service, body), service
+
+        (pid, job), service = asyncio.run(main())
+        assert job.result["status"] in ("SAT", "UNSAT")
+        assert service.metrics.counter("server.pool_rebuilds").value == 1
+        assert service.metrics.counter("server.worker_retries").value == 0
+        assert _reaped(pid)
+
+    def test_shutdown_reaps_every_worker(self):
+        async def main():
+            service = SolveService(jobs=2, quota_burst=100)
+            await service.start()
+            pids = _worker_pids(service)
+            await service.shutdown(grace=1.0)
+            return pids, service
+
+        pids, service = asyncio.run(main())
+        assert len(pids) == 2
+        assert all(_reaped(pid) for pid in pids)
+        assert service._workers == []
+
+    def test_shutdown_reaps_a_worker_whose_job_outlives_grace(
+            self, monkeypatch):
+        monkeypatch.setenv("REPRO_CHAOS", "delay=60")
+
+        async def main():
+            service = SolveService(jobs=1, quota_burst=100)
+            await service.start()
+            pids = _worker_pids(service)
+            job, _ = service.submit(_spec(141))
+            assert job.state == "running"
+            await service.shutdown(grace=0.2)
+            return pids, job
+
+        pids, job = asyncio.run(main())
+        assert job.state == "cancelled"
+        assert job.reason == "shutdown-deadline"
+        assert job.result["status"] == "CANCELLED"
+        assert all(_reaped(pid) for pid in pids)
+
+    def test_a_failed_startup_exits_without_waiting_on_workers(self):
+        """A server that dies between start and shutdown still exits:
+        its workers, blocked on pipes it holds open, are reaped at exit."""
+        code = textwrap.dedent("""\
+            import asyncio
+            from repro.server.service import SolveService
+
+            async def main():
+                service = SolveService(jobs=2)
+                await service.start()
+                raise OSError("address already in use")
+
+            asyncio.run(main())
+            """)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[2] / "src")
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 1
+        assert "address already in use" in done.stderr
