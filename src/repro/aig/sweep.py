@@ -30,6 +30,21 @@ soundness), classes are processed smallest-first, and oversized classes are
 truncated.  The swept AIG is rebuilt by substituting each merged node with
 its class representative (always an earlier node, so the substitution is
 acyclic) and sweeping out the dangling logic.
+
+**Exhaustive path.**  SAT is only needed for what simulation cannot settle.
+When ``2**num_pis`` is at most the number of patterns the sweep simulates
+anyway (up to 11 inputs at the default 2 048 patterns, never more than the
+16 inputs :func:`repro.aig.simulate.exhaustive_pi_words` enumerates), phase
+1 simulates *every* input pattern instead of random ones.  The classes are
+then exact, so phases 2 and 3 of the loop reduce to merging each AND member
+into its class representative under the same rules (truncation to
+``max_class_size``; PIs and the constant act only as representatives).  No
+CNF and no solver are built and ``seed`` is unused.  The swept AIG is the
+one the SAT path produces whenever that path proves every candidate; where
+the SAT path would give up on its conflict budget, this path merges more,
+which is still sound.  Its stats report ``sim_patterns = 2**num_pis``,
+``proved == merges`` and ``sat_calls``, ``refuted``, ``undecided`` and
+``refinements`` all 0.
 """
 
 from __future__ import annotations
@@ -43,7 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.aig.aig import AIG, CONST0, lit_var
-from repro.aig.simulate import simulate
+from repro.aig.simulate import exhaustive_pi_words, simulate
 from repro.cnf.tseitin import tseitin_encode
 from repro.obs import get_tracer
 from repro.sat.configs import SolverConfig
@@ -52,6 +67,9 @@ from repro.sat.solver import CdclSolver
 logger = logging.getLogger(__name__)
 
 __all__ = ["SweepStats", "SweepResult", "sweep_aig", "fraig"]
+
+#: The most inputs whose patterns :func:`exhaustive_pi_words` enumerates.
+_EXHAUSTIVE_MAX_PIS = 16
 
 
 @dataclass
@@ -115,12 +133,15 @@ def sweep_aig(aig: AIG, num_patterns: int = 2048, seed: int = 1,
     """SAT-sweep ``aig``: merge proven-equivalent nodes, return the result.
 
     The returned AIG has the same PI/PO interface and the same PO functions
-    as the input (merges are merged only after an UNSAT proof; budgeted-out
-    pairs are simply left alone, so the transform is always sound).
+    as the input (nodes are merged only after an UNSAT proof or exhaustive
+    simulation; budgeted-out pairs are simply left alone, so the transform
+    is always sound).
 
     ``num_patterns``
         random simulation patterns for the initial candidate classes
-        (rounded up to a multiple of 64).
+        (rounded up to a multiple of 64).  A circuit with at most that many
+        input patterns is simulated exhaustively and swept without SAT
+        (see the module docstring).
     ``conflict_budget``
         CDCL conflict limit per pair query; exceeding it abandons the pair.
     ``max_class_size``
@@ -157,14 +178,22 @@ def _sweep(aig: AIG, num_patterns: int, seed: int, conflict_budget: int,
         return SweepResult(aig=swept, stats=stats)
 
     # ---------------------------------------------------------------- #
-    # Phase 1: random simulation -> candidate classes
+    # Phase 1: simulation -> candidate classes
     # ---------------------------------------------------------------- #
-    rng = np.random.default_rng(seed)
     num_words = max(1, (num_patterns + 63) // 64)
-    pi_words = rng.integers(0, 2 ** 64, size=(aig.num_pis, num_words),
-                            dtype=np.uint64)
+    exhaustive = (aig.num_pis <= _EXHAUSTIVE_MAX_PIS
+                  and 1 << aig.num_pis <= num_words * 64)
+    if exhaustive:
+        # Padding bits (fewer than 64 patterns) repeat pattern 0, which the
+        # phase normalisation below maps to 0 in every row.
+        pi_words = exhaustive_pi_words(aig.num_pis)
+        stats.sim_patterns = 1 << aig.num_pis
+    else:
+        rng = np.random.default_rng(seed)
+        pi_words = rng.integers(0, 2 ** 64, size=(aig.num_pis, num_words),
+                                dtype=np.uint64)
+        stats.sim_patterns = num_words * 64
     values = simulate(aig, pi_words)
-    stats.sim_patterns = num_words * 64
 
     # Normalise each signature so that pattern 0 evaluates to 0; ``phase``
     # records the complementation, so nodes equal up to inversion land in
@@ -188,9 +217,72 @@ def _sweep(aig: AIG, num_patterns: int, seed: int, conflict_budget: int,
         stats.sweep_time = time.perf_counter() - start
         return SweepResult(aig=swept, stats=stats)
 
+    if exhaustive:
+        merged = _merge_exact(aig, candidate_classes, phase, max_class_size)
+        stats.proved = len(merged)
+        stats.const_merges = sum(1 for repr_var, _ in merged.values()
+                                 if repr_var == 0)
+    else:  # Phase 2: incremental SAT proving with refinement
+        merged = _prove_classes(aig, candidate_classes, phase, stats,
+                                conflict_budget, max_class_size, config)
+
     # ---------------------------------------------------------------- #
-    # Phase 2: incremental SAT proving with counterexample refinement
+    # Phase 3: rebuild with merged nodes substituted by representatives
     # ---------------------------------------------------------------- #
+    swept = AIG(name=aig.name)
+    mapping: dict[int, int] = {0: CONST0}
+    for pi_var, pi_name in zip(aig.pis, aig.pi_names):
+        mapping[pi_var] = swept.add_pi(pi_name)
+
+    def translate(literal: int) -> int:
+        return mapping[lit_var(literal)] ^ (literal & 1)
+
+    for var in aig.and_vars():
+        merge = merged.get(var)
+        if merge is not None:
+            repr_var, relative = merge
+            mapping[var] = mapping[repr_var] ^ relative
+        else:
+            lit0, lit1 = aig.fanins(var)
+            mapping[var] = swept.add_and(translate(lit0), translate(lit1))
+    for po, po_name in zip(aig.pos, aig.po_names):
+        swept.add_po(translate(po), po_name)
+    swept = swept.cleanup()
+
+    stats.merges = len(merged)
+    stats.nodes_after = swept.num_ands
+    stats.sweep_time = time.perf_counter() - start
+    return SweepResult(aig=swept, stats=stats)
+
+
+def _merge_exact(aig: AIG, classes: list[list[int]], phase: list[int],
+                 max_class_size: int) -> dict[int, tuple[int, int]]:
+    """Merge every AND member of each exact class into its representative.
+
+    Exhaustive simulation makes the classes the functional equivalence
+    classes themselves, and they are disjoint, so the order in which they
+    are taken cannot change the merges: this is what :func:`_prove_classes`
+    merges when every query is proved.
+    """
+    merged: dict[int, tuple[int, int]] = {}
+    for members in classes:
+        members = members[:max_class_size]
+        repr_var = members[0]
+        for member in members[1:]:
+            if aig.is_and(member):  # PIs / the constant only represent
+                merged[member] = (repr_var, phase[member] ^ phase[repr_var])
+    return merged
+
+
+def _prove_classes(aig: AIG, candidate_classes: list[list[int]],
+                   phase: list[int], stats: SweepStats, conflict_budget: int,
+                   max_class_size: int, config: SolverConfig | None
+                   ) -> dict[int, tuple[int, int]]:
+    """Phase 2 on random-simulation classes: prove, refute and refine.
+
+    Returns the merges (var -> (representative var, relative phase)) and
+    counts the queries in ``stats``.
+    """
     cnf = tseitin_encode(aig, output_mode="none")
     var_map = cnf.var_map
     solver = CdclSolver(cnf, config=config or SolverConfig())
@@ -292,34 +384,7 @@ def _sweep(aig: AIG, num_patterns: int, seed: int, conflict_budget: int,
                 for part in split_class(cls, counterexample):
                     heap.append((len(part), next(tiebreak), part))
             heapq.heapify(heap)
-
-    # ---------------------------------------------------------------- #
-    # Phase 3: rebuild with merged nodes substituted by representatives
-    # ---------------------------------------------------------------- #
-    swept = AIG(name=aig.name)
-    mapping: dict[int, int] = {0: CONST0}
-    for pi_var, pi_name in zip(aig.pis, aig.pi_names):
-        mapping[pi_var] = swept.add_pi(pi_name)
-
-    def translate(literal: int) -> int:
-        return mapping[lit_var(literal)] ^ (literal & 1)
-
-    for var in aig.and_vars():
-        merge = merged.get(var)
-        if merge is not None:
-            repr_var, relative = merge
-            mapping[var] = mapping[repr_var] ^ relative
-        else:
-            lit0, lit1 = aig.fanins(var)
-            mapping[var] = swept.add_and(translate(lit0), translate(lit1))
-    for po, po_name in zip(aig.pos, aig.po_names):
-        swept.add_po(translate(po), po_name)
-    swept = swept.cleanup()
-
-    stats.merges = len(merged)
-    stats.nodes_after = swept.num_ands
-    stats.sweep_time = time.perf_counter() - start
-    return SweepResult(aig=swept, stats=stats)
+    return merged
 
 
 def fraig(aig: AIG) -> AIG:

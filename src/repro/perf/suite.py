@@ -80,6 +80,25 @@ def _sweep_then_solve(aig: AIG) -> dict[str, float]:
     }
 
 
+def _small_sweep_circuits(count: int) -> list[AIG]:
+    rng = random.Random(19)
+    return [random_aig(5, 40 + rng.randrange(20), seed=rng.randrange(1 << 30))
+            for _ in range(count)]
+
+
+def _sweep_batch(aigs: list[AIG]) -> dict[str, float]:
+    """Sweep each circuit with the defaults, as a server sweep job does."""
+    totals = {"circuits": len(aigs), "ands_before": 0, "ands_after": 0,
+              "merges": 0, "sat_calls": 0}
+    for aig in aigs:
+        stats = sweep_aig(aig).stats
+        totals["ands_before"] += stats.nodes_before
+        totals["ands_after"] += stats.nodes_after
+        totals["merges"] += stats.merges
+        totals["sat_calls"] += stats.sat_calls
+    return totals
+
+
 def _incremental_query_batch(payload: tuple[Cnf, list[list[int]]]) -> dict[str, float]:
     """Solve a shared-prefix assumption batch twice: incrementally and naively.
 
@@ -499,6 +518,11 @@ def default_suite(quick: bool = False) -> list[Benchmark]:
     sat_seeds = range(2) if quick else range(6)
     php_holes = 5 if quick else 7
     miter_width = 3 if quick else 4
+    # sweep_lec needs a miter whose 2**inputs exceed the sweep's 2 048
+    # simulation patterns, or simulation decides it without SAT: width 6
+    # (12 inputs) is the narrowest.  sweep_small takes the other side.
+    sweep_width = 6
+    sweep_small_count = 16 if quick else 64
     # One shared random AIG size: cuts_enumerate, sim_random and
     # aig_stat_queries all run on random_aig(12, aig_nodes, seed=7) so their
     # counters describe the same circuit.
@@ -553,12 +577,21 @@ def default_suite(quick: bool = False) -> list[Benchmark]:
         Benchmark(
             name="sweep_lec",
             category="solver",
-            description=f"SAT-sweep (fraig) + re-encode + solve of the same "
-                        f"width-{miter_width} multiplier miter "
-                        f"(incremental-queries flow vs. solver_lec_miter's "
-                        f"monolithic solve)",
-            setup=lambda: multiplier_commutativity_miter(miter_width),
+            description=f"SAT-sweep (fraig) + re-encode + solve of the "
+                        f"width-{sweep_width} multiplier miter "
+                        f"({2 * sweep_width} inputs: every candidate pair "
+                        f"is proved by incremental SAT queries)",
+            setup=lambda: multiplier_commutativity_miter(sweep_width),
             run=_sweep_then_solve,
+        ),
+        Benchmark(
+            name="sweep_small",
+            category="solver",
+            description=f"sweep of {sweep_small_count} 5-input random AIGs "
+                        f"(40-59 nodes, the solve server's sweep jobs): "
+                        f"exhaustive simulation decides every class, no SAT",
+            setup=lambda: _small_sweep_circuits(sweep_small_count),
+            run=_sweep_batch,
         ),
         Benchmark(
             name="solver_incremental",

@@ -20,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field
+from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from repro.aig.aig import AIG
@@ -40,8 +41,27 @@ SCHEMA_VERSION = 1
 TASK_KINDS = ("solve", "preprocess", "sweep")
 
 
+#: Distinct solver configs whose fingerprint payloads are kept.
+_CONFIG_PAYLOAD_CACHE_SIZE = 256
+
+
 class TaskError(ReproError):
     """A task could not be built or is not executable."""
+
+
+@lru_cache(maxsize=_CONFIG_PAYLOAD_CACHE_SIZE)
+def _config_payload(config: SolverConfig, _types: tuple) -> dict:
+    """The fingerprint part of ``config``; shared, so never mutated.
+
+    Keyed by the (frozen, hashable) config and its field types: ``1``,
+    ``1.0`` and ``True`` are equal keys but serialise differently.  The
+    runner always replaces the solver seed with the content-derived one
+    (see :meth:`Task.seed`), so the configured seed cannot influence the
+    outcome and must not split the cache key.
+    """
+    payload = asdict(config)
+    payload.pop("seed", None)
+    return payload
 
 
 @dataclass
@@ -172,12 +192,9 @@ class Task:
             if self.kind != "preprocess":
                 config_payload = None
                 if self.config is not None:
-                    config_payload = asdict(self.config)
-                    # The runner always replaces the solver seed with the
-                    # content-derived one (see :meth:`seed`), so the
-                    # configured seed cannot influence the outcome and must
-                    # not split the cache key.
-                    config_payload.pop("seed", None)
+                    config_payload = _config_payload(
+                        self.config,
+                        tuple(map(type, vars(self.config).values())))
                 payload["config"] = config_payload
             if self.kind == "solve":
                 payload["time_limit"] = self.time_limit

@@ -36,6 +36,7 @@ from __future__ import annotations
 import os
 import shutil
 import tempfile
+from collections import OrderedDict
 from dataclasses import replace
 from pathlib import Path
 
@@ -59,8 +60,46 @@ _JSON_KEYS = ("kind", "payload", "fmt", "name", "pipeline", "pipeline_kwargs",
               "hard_timeout", "mem_limit_mb", "proof")
 
 
+#: Characters of raw plus canonical AIGER text that
+#: :func:`_canonical_aiger` keeps, so resubmitted circuits parse once.
+_CANONICAL_AIGER_CHARS = 8 << 20
+
+
 class BadRequest(ReproError):
     """A job spec failed validation (maps to HTTP 400)."""
+
+
+class _CanonicalAiger:
+    """Raw AIGER text -> canonical text, least recently used out first.
+
+    Bounded by total characters, not entries, so a few large circuits
+    cannot pin unbounded memory; a payload larger than the whole budget
+    is canonicalised every time.  An unparsable payload raises and is
+    never stored.
+    """
+
+    def __init__(self, max_chars: int) -> None:
+        self.max_chars = max_chars
+        self._texts: OrderedDict[str, str] = OrderedDict()
+        self._chars = 0
+
+    def __call__(self, payload: str) -> str:
+        canonical = self._texts.get(payload)
+        if canonical is not None:
+            self._texts.move_to_end(payload)
+            return canonical
+        canonical = write_aiger(read_aiger(payload))
+        size = len(payload) + len(canonical)
+        if size <= self.max_chars:
+            self._texts[payload] = canonical
+            self._chars += size
+            while self._chars > self.max_chars:
+                raw, text = self._texts.popitem(last=False)
+                self._chars -= len(raw) + len(text)
+        return canonical
+
+
+_canonical_aiger = _CanonicalAiger(_CANONICAL_AIGER_CHARS)
 
 
 def sniff_format(payload: str) -> str:
@@ -77,7 +116,9 @@ def parse_job(data: object) -> Task:
 
     An AIGER solve's payload is canonicalised here, as
     :meth:`Task.from_aig` does, so it has the batch runner's key for the
-    same circuit and an unparsable circuit is refused at the door.
+    same circuit and an unparsable circuit is refused at the door.  Each
+    distinct payload is parsed once per process (a bounded map from raw
+    to canonical text), so a resubmission skips the parse.
     """
     if not isinstance(data, dict):
         raise BadRequest("job spec must be a JSON object")
@@ -133,7 +174,7 @@ def parse_job(data: object) -> Task:
         raise BadRequest(f"unknown pipeline {raw!r} (choices: {choices})")
     if kind == "solve" and fmt == "aig":
         try:
-            payload = write_aiger(read_aiger(payload))
+            payload = _canonical_aiger(payload)
         except ReproError as error:
             raise BadRequest(f"unparsable AIGER payload: {error}") from error
     return Task(

@@ -48,8 +48,10 @@ Robustness properties, in the order a request meets them:
   outlives the service and its CPU time is accounted to the server.
 
 Counters (``server.accepted`` / ``server.shed`` / ``server.dedup_hits``
-/ ``server.active`` …) land in the :mod:`repro.obs` metrics registry and
-are exposed by the HTTP layer's ``/metricsz``.
+/ ``server.active`` …) and the per-stage latency histograms
+(``server.queue_wait_ms`` / ``server.execute_ms`` / ``server.persist_ms``,
+which add up to ``server.latency_ms``) land in the :mod:`repro.obs`
+metrics registry and are exposed by the HTTP layer's ``/metricsz``.
 """
 
 from __future__ import annotations
@@ -195,10 +197,20 @@ class Job:
     started_at: float | None = None
     finished_at: float | None = None
     done_event: asyncio.Event = field(default_factory=asyncio.Event)
+    _callbacks: list[Callable[["Job"], None]] = field(
+        default_factory=list, repr=False)
 
     @property
     def terminal(self) -> bool:
         return self.state in TERMINAL_STATES
+
+    def add_done_callback(self, callback: Callable[["Job"], None]) -> None:
+        """Call ``callback(job)`` once, when the job settles."""
+        self._callbacks.append(callback)
+
+    def remove_done_callback(self, callback: Callable[["Job"], None]) -> None:
+        if callback in self._callbacks:
+            self._callbacks.remove(callback)
 
 
 @dataclass(eq=False)
@@ -585,18 +597,36 @@ class SolveService:
     def _finish_job(self, job: Job, result: dict) -> None:
         if job.terminal:
             return
+        executed_at = self.clock()
         self._persist(job, result)
-        self._settle(job, "done", result)
+        self._settle(job, "done", result, executed_at)
 
-    def _settle(self, job: Job, state: str, result: dict) -> None:
-        """Transition ``job`` to a terminal state and release its slots."""
+    def _settle(self, job: Job, state: str, result: dict,
+                executed_at: float | None = None) -> None:
+        """Transition ``job`` to a terminal state and release its slots.
+
+        A job that ran is timed by stage: ``server.queue_wait_ms`` (submit
+        to dispatch), ``server.execute_ms`` (dispatch to its result, or to
+        its cancellation) and ``server.persist_ms`` (the store write after
+        a result, ``executed_at``), which add up to ``server.latency_ms``.
+        Its done-callbacks run last, once the service is consistent again.
+        """
         job.state = state
         job.result = result
         job.finished_at = self.clock()
         if job.started_at is not None:
             self._service_times.append(job.finished_at - job.started_at)
-            self.metrics.histogram("server.latency_ms").observe(
-                1000.0 * (job.finished_at - job.submitted_at))
+            if executed_at is None:
+                executed_at = job.finished_at
+            else:
+                self._observe_ms("server.persist_ms",
+                                 job.finished_at - executed_at)
+            self._observe_ms("server.queue_wait_ms",
+                             job.started_at - job.submitted_at)
+            self._observe_ms("server.execute_ms",
+                             executed_at - job.started_at)
+            self._observe_ms("server.latency_ms",
+                             job.finished_at - job.submitted_at)
         self._active.discard(job)
         if self._inflight.get(job.fingerprint) is job:
             del self._inflight[job.fingerprint]
@@ -605,6 +635,15 @@ class SolveService:
             self.metrics.counter("server.completed").inc()
         job.done_event.set()
         self._dispatch()
+        callbacks, job._callbacks = job._callbacks, []
+        for callback in callbacks:
+            try:
+                callback(job)
+            except Exception:  # noqa: BLE001 - one waiter, not the service
+                logger.exception("done-callback of job %s failed", job.id)
+
+    def _observe_ms(self, name: str, seconds: float) -> None:
+        self.metrics.histogram(name).observe(1000.0 * seconds)
 
     def _persist(self, job: Job, result: dict) -> None:
         """Best-effort memoization; a failing store never fails the job."""

@@ -8,8 +8,12 @@ the stress paths: starved simulation (forcing counterexample refinement)
 and starved conflict budgets (forcing budgeted-out pairs).
 """
 
+import random
+
 import pytest
 
+from repro.aig import sweep as sweep_module
+from repro.aig.aiger import write_aiger
 from repro.aig.simulate import po_truth_tables
 from repro.aig.sweep import SweepStats, fraig, sweep_aig
 from repro.benchgen.atpg import atpg_instance
@@ -74,8 +78,10 @@ class TestSweepEquivalence:
         assert refuted > 0
 
     def test_starved_budget_stays_sound(self):
-        aig = multiplier_commutativity_miter(3)
-        result = sweep_aig(aig, conflict_budget=1)
+        # 8 inputs over 64 patterns: too many to simulate exhaustively,
+        # so the pairs go to SAT under the one-conflict budget.
+        aig = multiplier_commutativity_miter(4)
+        result = sweep_aig(aig, num_patterns=64, conflict_budget=1)
         assert result.stats.undecided > 0
         assert po_truth_tables(result.aig) == po_truth_tables(aig)
 
@@ -109,7 +115,8 @@ class TestSweepBehaviour:
         assert first == second
 
     def test_stats_consistency(self):
-        stats = sweep_aig(multiplier_commutativity_miter(3)).stats
+        stats = sweep_aig(multiplier_commutativity_miter(4),
+                          num_patterns=64).stats
         assert isinstance(stats, SweepStats)
         assert stats.sat_calls == stats.proved + stats.refuted + stats.undecided
         assert stats.merges == stats.proved
@@ -140,6 +147,85 @@ class TestSweepBehaviour:
         result = sweep_aig(aig)
         assert result.stats.sat_calls == 0
         assert po_truth_tables(result.aig) == po_truth_tables(aig)
+
+
+def _sat_path(aig, monkeypatch, **kwargs):
+    """Sweep ``aig`` on the SAT path even where it could go exhaustive."""
+    with monkeypatch.context() as patch:
+        patch.setattr(sweep_module, "_EXHAUSTIVE_MAX_PIS", -1)
+        return sweep_aig(aig, **kwargs)
+
+
+def _random_small_aigs():
+    rng = random.Random(19)
+    for index in range(90):
+        num_pis = 3 + index % 9   # 3..11 inputs: all exhaustive at 2 048
+        yield random_aig(num_pis, 30 + rng.randrange(120),
+                         seed=rng.randrange(1 << 30))
+    for _ in range(10):           # the solve server's sweep job size
+        yield random_aig(5, 40 + rng.randrange(20),
+                         seed=rng.randrange(1 << 30))
+
+
+class TestExhaustivePath:
+    def test_matches_the_sat_path_text_where_it_proves_everything(
+            self, monkeypatch):
+        compared = 0
+        for aig in _random_small_aigs():
+            exhaustive = sweep_aig(aig)
+            proved = _sat_path(aig, monkeypatch)
+            assert proved.stats.sat_calls > 0 or \
+                proved.stats.classes_initial == 0
+            if proved.stats.undecided:
+                continue  # the SAT path gave up; exhaustive merges more
+            assert write_aiger(exhaustive.aig) == write_aiger(proved.aig)
+            assert exhaustive.stats.merges == proved.stats.merges
+            assert (exhaustive.stats.const_merges
+                    == proved.stats.const_merges)
+            compared += 1
+        assert compared >= 90
+
+    def test_matches_the_sat_path_on_equivalence_miters(self, monkeypatch):
+        for aig in (multiplier_commutativity_miter(3),
+                    adder_equivalence_miter(4),
+                    adder_equivalence_miter(4, mutated=True, seed=2)):
+            assert (write_aiger(sweep_aig(aig).aig)
+                    == write_aiger(_sat_path(aig, monkeypatch).aig))
+
+    def test_stats_take_the_documented_values(self):
+        aig = random_aig(5, 50, seed=3)
+        stats = sweep_aig(aig).stats
+        assert stats.sim_patterns == 32
+        assert (stats.sat_calls, stats.refuted, stats.undecided,
+                stats.refinements) == (0, 0, 0, 0)
+        assert stats.proved == stats.merges > 0
+        assert stats.const_merges <= stats.merges
+
+    def test_threshold_follows_the_simulated_pattern_count(self):
+        eleven = sweep_aig(random_aig(11, 150, seed=1)).stats
+        assert eleven.sat_calls == 0 and eleven.sim_patterns == 2048
+        twelve = sweep_aig(random_aig(12, 150, seed=1)).stats
+        assert twelve.sat_calls > 0 and twelve.sim_patterns == 2048
+        narrow = sweep_aig(random_aig(7, 80, seed=2), num_patterns=64).stats
+        assert narrow.sat_calls > 0 and narrow.sim_patterns == 64
+
+    def test_exhaustive_path_beats_a_starved_budget_soundly(self):
+        aig = multiplier_commutativity_miter(3)   # 6 inputs
+        result = sweep_aig(aig, conflict_budget=1)
+        assert result.stats.undecided == 0
+        assert result.aig.num_ands == 0           # decided outright
+        assert po_truth_tables(result.aig) == po_truth_tables(aig)
+
+    def test_class_truncation_matches_the_sat_path(self, monkeypatch):
+        aig = multiplier_commutativity_miter(3)
+        merges = []
+        for size in (2, 3):
+            result = sweep_aig(aig, max_class_size=size)
+            assert (write_aiger(result.aig)
+                    == write_aiger(_sat_path(aig, monkeypatch,
+                                             max_class_size=size).aig))
+            merges.append(result.stats.merges)
+        assert merges[0] < merges[1] < sweep_aig(aig).stats.merges
 
 
 class TestFraigRecipeOperation:

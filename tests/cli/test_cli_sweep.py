@@ -22,6 +22,14 @@ def miter_file(tmp_path):
 
 
 @pytest.fixture
+def wide_miter_file(tmp_path):
+    """8 inputs: above the exhaustive threshold at 128 patterns."""
+    path = tmp_path / "wide.aag"
+    write_aiger_file(multiplier_commutativity_miter(4), path)
+    return str(path)
+
+
+@pytest.fixture
 def cnf_file(tmp_path):
     return str(write_dimacs_file(random_cnf(num_vars=10, num_clauses=30,
                                             seed=1), tmp_path / "f.cnf"))
@@ -59,9 +67,9 @@ class TestSweepVerb:
         assert payload["stats"]["merges"] > 0
         assert payload["stats"]["nodes_after"] == 0
 
-    def test_sweep_flags_are_forwarded(self, miter_file, tmp_path):
+    def test_sweep_flags_are_forwarded(self, wide_miter_file, tmp_path):
         report = tmp_path / "report.json"
-        assert main(["sweep", miter_file, "-o", str(tmp_path / "s.aag"),
+        assert main(["sweep", wide_miter_file, "-o", str(tmp_path / "s.aag"),
                      "--conflict-budget", "1", "--patterns", "128",
                      "--json", str(report), "-q"]) == 0
         payload = json.loads(report.read_text())

@@ -17,9 +17,10 @@ class TestPreprocessorSweep:
         assert swept.cnf.num_vars <= plain.cnf.num_vars
 
     def test_sweep_kwargs_are_forwarded(self):
+        # 12 inputs: too many to simulate exhaustively, so SAT decides.
         result = Preprocessor(recipe=["balance"], sweep=True,
                               sweep_kwargs={"conflict_budget": 1}).preprocess(
-                                  _miter())
+                                  multiplier_commutativity_miter(6))
         # A one-conflict budget proves nothing, so nothing collapses.
         assert result.final_aig.num_ands > 0
 

@@ -17,13 +17,27 @@ def _benchmark(name, quick=True):
 class TestNewBenchmarks:
     def test_suite_contains_the_new_benchmarks(self):
         names = {b.name for b in default_suite()}
-        assert {"sweep_lec", "solver_incremental"} <= names
+        assert {"sweep_lec", "sweep_small", "solver_incremental"} <= names
 
     def test_sweep_lec_collapses_and_solves_unsat(self):
         result = run_benchmark(_benchmark("sweep_lec"), repeats=1)
         assert result.counters["unsat"] == 1.0
         assert result.counters["ands_after"] < result.counters["ands_before"]
         assert result.counters["merges"] > 0
+        assert result.counters["sat_calls"] > 0   # proved, not simulated
+
+    def test_sweep_lec_miter_is_too_wide_to_simulate_in_both_modes(self):
+        for quick in (True, False):
+            miter = {b.name: b for b in default_suite(quick)}[
+                "sweep_lec"].setup()
+            assert 2 ** miter.num_pis > 2048   # the default pattern count
+
+    def test_sweep_small_needs_no_sat(self):
+        result = run_benchmark(_benchmark("sweep_small"), repeats=1)
+        assert result.counters["circuits"] == 16
+        assert result.counters["sat_calls"] == 0
+        assert result.counters["merges"] > 0
+        assert result.counters["ands_after"] < result.counters["ands_before"]
 
     def test_solver_incremental_agrees_and_speeds_up(self):
         result = run_benchmark(_benchmark("solver_incremental"), repeats=1)

@@ -50,6 +50,37 @@ class TestFingerprint:
                                time_limit=10.0)
         assert first.fingerprint() == second.fingerprint()
 
+    def test_config_payload_cache_keeps_the_digest(self, adder):
+        """Fingerprints read the config part from a per-config cache; it
+        must hash exactly what a fresh ``asdict`` would, including field
+        values that compare equal but serialise differently."""
+        import hashlib
+        import json
+        from dataclasses import asdict, replace
+
+        def reference(task):
+            config = asdict(task.config)
+            config.pop("seed")
+            payload = {"schema": 1, "hard_timeout": task.hard_timeout,
+                       "aig": task.payload, "pipeline": task.pipeline,
+                       "kwargs": task.pipeline_kwargs, "config": config,
+                       "time_limit": task.time_limit}
+            text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+            return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+        base = kissat_like()
+        configs = [base, replace(base, restart_interval=100),
+                   replace(base, restart_interval=100.0),
+                   replace(base, restart_interval=100), base]
+        digests = []
+        for config in configs:
+            task = Task.from_aig(adder, "Baseline", config=config,
+                                 time_limit=10.0)
+            assert task.fingerprint() == reference(task)
+            digests.append(task.fingerprint())
+        assert digests[1] != digests[2]   # 100 == 100.0, yet not one key
+        assert digests[0] == digests[4]
+
     def test_group_is_pure_relabelling(self, adder):
         plain = Task.from_aig(adder, "Ours", time_limit=10.0)
         labelled = Task.from_aig(adder, "Ours", time_limit=10.0,

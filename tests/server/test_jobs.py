@@ -89,6 +89,42 @@ class TestParseJob:
         with pytest.raises(BadRequest, match="unparsable AIGER"):
             parse_job({"payload": "aag 1 2 3\nnot aiger at all"})
 
+    def test_unparsable_aiger_is_refused_every_time(self):
+        for _ in range(3):
+            with pytest.raises(BadRequest, match="unparsable AIGER"):
+                parse_job({"payload": "aag 1 2 3\nnot aiger at all"})
+
+    def test_resubmitted_aiger_is_parsed_once(self, monkeypatch):
+        from repro.server import jobs
+
+        parses = []
+        real = jobs.read_aiger
+        monkeypatch.setattr(jobs, "_canonical_aiger",
+                            jobs._CanonicalAiger(1 << 20))
+        monkeypatch.setattr(jobs, "read_aiger",
+                            lambda text: parses.append(text) or real(text))
+        raw = write_aiger(adder_equivalence_miter(3)) + "c resubmitted\n"
+        first = parse_job({"payload": raw})
+        second = parse_job({"payload": raw})
+        assert first.payload == second.payload == write_aiger(read_aiger(raw))
+        assert first.fingerprint() == second.fingerprint()
+        assert parses == [raw]
+
+    def test_canonical_map_is_bounded_by_characters(self):
+        from repro.server.jobs import _CanonicalAiger
+
+        texts = [write_aiger(adder_equivalence_miter(width))
+                 for width in (2, 3, 4)]
+        budget = sum(2 * len(text) for text in texts[1:])
+        canonical = _CanonicalAiger(budget)
+        for text in texts:
+            assert canonical(text) == write_aiger(read_aiger(text))
+        assert list(canonical._texts) == texts[1:]   # oldest evicted
+        assert canonical._chars <= budget
+        huge = _CanonicalAiger(len(texts[0]))        # one text over budget
+        assert huge(texts[0]) == write_aiger(read_aiger(texts[0]))
+        assert not huge._texts
+
     def test_aiger_payload_is_canonicalised(self):
         raw = "aag 3 2 0 1 1\n2\n4\n6\n6 2 4\n"  # no trailing comment
         task = parse_job({"payload": raw, "pipeline": "ours",

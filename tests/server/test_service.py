@@ -212,6 +212,47 @@ class TestExecution:
 
         asyncio.run(second_life())
 
+    def test_latency_splits_into_queue_wait_execute_and_persist(self):
+        clock = FakeClock()
+
+        class SlowStore:
+            """A store whose writes take 0.5 s on the injected clock."""
+
+            def __init__(self):
+                self.records = {}
+
+            def get_record(self, key):
+                return self.records.get(key)
+
+            def put_record(self, key, record):
+                clock.now += 0.5
+                self.records[key] = record
+
+        async def main():
+            service = SolveService(jobs=1, store=SlowStore(),
+                                   quota_burst=100, clock=clock)
+            job, _ = service.submit(_spec(22))  # queued: not started yet
+            clock.now += 2.0
+            await service.start()               # dispatched at +2 s
+            clock.now += 3.0                    # the result comes at +5 s
+            try:
+                await _finish(job)
+            finally:
+                await service.shutdown(grace=5.0)
+            return service.metrics_snapshot()["histograms"]
+
+        histograms = asyncio.run(main())
+        stages = {name: histograms[f"server.{name}"]["total"]
+                  for name in ("queue_wait_ms", "execute_ms", "persist_ms",
+                               "latency_ms")}
+        assert stages == pytest.approx({"queue_wait_ms": 2000.0,
+                                        "execute_ms": 3000.0,
+                                        "persist_ms": 500.0,
+                                        "latency_ms": 5500.0})
+        assert (stages["queue_wait_ms"] + stages["execute_ms"]
+                + stages["persist_ms"]) == pytest.approx(
+                    stages["latency_ms"])
+
     def test_worker_crash_recovery(self, tmp_path, monkeypatch):
         """A SIGKILLed pool worker breaks the pool; the job still lands."""
         flags = tmp_path / "flags"
