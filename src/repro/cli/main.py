@@ -1,18 +1,19 @@
 """Argument parsing and subcommand implementations of the ``repro`` CLI.
 
 The CLI is a thin layer: file I/O comes from :mod:`repro.cnf.dimacs` and
-:mod:`repro.aig.aiger`, preprocessing from :data:`repro.core.pipeline.PIPELINES`
-(the Baseline / Comp. / Ours pipelines of Sec. IV), and solving from
-:mod:`repro.sat.backends` — the built-in CDCL solver or a real external
-binary.  ``solve`` speaks the SAT-competition output conventions
-(``c``/``s``/``v`` lines, exit codes 10 / 20 / 0) so the tool drops into
-existing solver harnesses unchanged.
+:mod:`repro.aig.aiger`; :func:`repro.core.pipeline.encode_aig` runs the
+Baseline / Comp. / Ours pipelines of Sec. IV and
+:func:`~repro.core.pipeline.run_pipeline` gets the verdict from a
+:mod:`repro.sat.backends` backend.  ``solve`` speaks the SAT-competition
+output conventions (``c``/``s``/``v`` lines, exit codes 10 / 20 / 0) so
+the tool drops into existing solver harnesses unchanged.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from contextlib import nullcontext
@@ -23,8 +24,7 @@ from repro.aig.aiger import load_aiger
 from repro.cnf.cnf import Cnf
 from repro.cnf.dimacs import parse_dimacs, write_dimacs_file
 from repro.core.pipeline import (PIPELINE_ALIASES, PIPELINES,
-                                 canonical_pipeline, encode_aig,
-                                 write_refuted_cnf)
+                                 canonical_pipeline, encode_aig, run_pipeline)
 from repro.errors import ReproError
 from repro.obs import (
     Tracer,
@@ -45,10 +45,8 @@ from repro.sat.backends import (
     fold_portfolio_flags,
     get_backend,
     is_internal,
-    resolve_backend,
 )
 from repro.sat.configs import CONFIG_PRESETS
-from repro.sat.solver import SolveResult
 from repro.synthesis.recipe import OPERATIONS, canonical_operation
 
 #: SAT-competition exit codes for ``solve``.  A tripped resource watchdog
@@ -63,6 +61,26 @@ AIGER_SUFFIXES = (".aag", ".aig")
 
 class CliError(ReproError):
     """A user-facing CLI failure (bad file, bad flag combination)."""
+
+
+def _at_least(convert, bound, strict: bool = False):
+    """An argparse ``type``: a number >= ``bound`` (> if ``strict``)."""
+    def parse(text: str):
+        value = convert(text)
+        if not (value > bound if strict else value >= bound):
+            raise argparse.ArgumentTypeError(
+                f"must be {'greater than' if strict else 'at least'} "
+                f"{bound}, got {text}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names it in its errors
+    return parse
+
+
+#: Number checks shared by ``repro solve`` and ``python -m repro.runner``.
+positive_int = _at_least(int, 1)
+nonnegative_int = _at_least(int, 0)
+positive_float = _at_least(float, 0, strict=True)
 
 
 # --------------------------------------------------------------------- #
@@ -156,11 +174,11 @@ def _comment(message: str, quiet: bool = False) -> None:
     _emit(f"c {message}", quiet)
 
 
-def _model_lines(result: SolveResult, num_vars: int) -> list[str]:
+def _model_lines(model: dict[int, bool], num_vars: int) -> list[str]:
     """Render the model as SAT-competition ``v`` lines (wrapped, 0-ended)."""
     literals = []
     for var in range(1, num_vars + 1):
-        value = result.model.get(var, False)
+        value = model.get(var, False)
         literals.append(str(var if value else -var))
     literals.append("0")
     lines = []
@@ -189,6 +207,7 @@ def _write_json(payload: dict, destination: str) -> None:
 def cmd_solve(args: argparse.Namespace) -> int:
     kind, instance = load_input(args.file)
     config = CONFIG_PRESETS[args.config]()
+    quiet = args.quiet
     # --portfolio/--cube-depth fold into the portfolio backend; the shared
     # helper owns the validation rules for both this CLI and the runner's.
     backend_name, backend_kwargs = fold_portfolio_flags(
@@ -201,14 +220,15 @@ def cmd_solve(args: argparse.Namespace) -> int:
             f"--proof needs the internal solver ({args.backend!r} cannot "
             f"emit a checkable DRAT proof); drop --backend, use "
             f"--portfolio N, or add --fallback")
-    if backend_kwargs:
-        if args.solver_binary is not None:
-            raise CliError(
-                "--solver-binary does not apply to --portfolio/--cube-depth "
-                "(the portfolio races the internal solver)")
-        backend = get_backend(backend_name, **backend_kwargs)
+    if is_internal(backend_name):
+        # kissat-style periodic progress lines on stdout 'c' comments.
+        backend = InternalBackend(
+            progress=(lambda snapshot: print(snapshot.progress_line()))
+            if args.verbose and not quiet else None)
     else:
-        backend = resolve_backend(backend_name, binary=args.solver_binary)
+        # The portfolio rejects --solver-binary: it races the internal solver.
+        backend = get_backend(backend_name, binary=args.solver_binary,
+                              **backend_kwargs)
     if isinstance(backend, PortfolioBackend) and (args.retries
                                                   or args.fallback):
         raise CliError(
@@ -231,7 +251,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
     # minutes-long) preprocessing pipeline runs, not after.  With
     # --fallback, a reachable fallback is enough to proceed.
     ensure_available(backend)
-    quiet = args.quiet
 
     _comment(f"repro solve {args.file}", quiet)
     transform_time = 0.0
@@ -242,6 +261,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
         kwargs = pipeline_kwargs_from_args(args, pipeline_name)
         _comment(f"circuit: {instance.num_pis} PIs, {instance.num_pos} POs, "
                  f"{instance.num_ands} AND gates", quiet)
+        # Encoded here, not inside run_pipeline, so the pipeline and cnf
+        # lines print before the solve starts.
         cnf, transform_time = encode_aig(instance, pipeline_name,
                                          str(args.file), kwargs)
         recipe = kwargs.get("recipe")
@@ -273,34 +294,17 @@ def cmd_solve(args: argparse.Namespace) -> int:
         _comment(f"memory ceiling {args.mem_limit:g} MB (soft watchdog)",
                  quiet)
 
-    start = time.perf_counter()
-    portfolio_report = None
     # The watchdog is process-global and survives fork, so portfolio
     # workers inherit the ceiling too.
     guard = use_watchdog(Watchdog(mem_limit_mb=args.mem_limit)) \
         if args.mem_limit else nullcontext()
     with guard:
-        if isinstance(backend, PortfolioBackend):
-            portfolio_report = backend.solve_detailed(
-                cnf, config=config, time_limit=args.time_limit,
-                max_conflicts=args.max_conflicts,
-                max_decisions=args.max_decisions, proof=args.proof)
-            result = portfolio_report.result
-        else:
-            solve_kwargs = {}
-            if args.proof is not None:
-                solve_kwargs["proof"] = args.proof
-            if getattr(args, "verbose", 0) and not quiet \
-                    and isinstance(backend, InternalBackend):
-                # kissat-style periodic progress lines on stdout 'c' comments.
-                solve_kwargs["progress"] = \
-                    lambda snapshot: print(snapshot.progress_line())
-            result = backend.solve(cnf, config=config,
-                                   time_limit=args.time_limit,
-                                   max_conflicts=args.max_conflicts,
-                                   max_decisions=args.max_decisions,
-                                   **solve_kwargs)
-    solve_time = time.perf_counter() - start
+        run = run_pipeline(cnf, pipeline_name or "Baseline",
+                           instance_name=str(args.file), config=config,
+                           time_limit=args.time_limit,
+                           max_conflicts=args.max_conflicts,
+                           max_decisions=args.max_decisions,
+                           backend=backend, proof=args.proof)
 
     if resilient is not None:
         if supervisor is not None and supervisor.retries_granted:
@@ -312,66 +316,66 @@ def cmd_solve(args: argparse.Namespace) -> int:
             _comment(f"WARNING: degraded from {resilient.primary.name} to "
                      f"{resilient.fallback.name}", quiet)
 
-    if portfolio_report is not None:
-        spawn_failed = [worker.index for worker in portfolio_report.workers
+    report = getattr(backend, "report", None)  # only a portfolio has one
+    if report is not None:
+        spawn_failed = [worker.index for worker in report.workers
                         if worker.status == "SPAWN_FAILED"]
         if spawn_failed:
             _comment(f"WARNING: worker(s) {spawn_failed} failed to spawn",
                      quiet)
-        if portfolio_report.winner is not None \
-                and portfolio_report.winner.endswith("+seq-fallback"):
+        if report.winner is not None \
+                and report.winner.endswith("+seq-fallback"):
             _comment("WARNING: every portfolio worker was lost; verdict "
                      "comes from the in-process sequential fallback", quiet)
-        for worker in portfolio_report.workers:
+        for worker in report.workers:
             detail = ""
             if worker.stats is not None:
                 detail = (f" decisions {worker.stats.decisions} "
                           f"conflicts {worker.stats.conflicts}")
-            if portfolio_report.mode == "cube":
+            if report.mode == "cube":
                 detail += f" cubes {worker.cubes_solved}"
             _comment(f"worker {worker.index} [{worker.config_name}]: "
                      f"{worker.status} in {worker.solve_time:.3f} s{detail}",
                      quiet)
-        if portfolio_report.mode == "cube":
-            _comment(f"cube split: {portfolio_report.num_cubes} cubes on "
-                     f"variables {portfolio_report.cube_variables}", quiet)
-        if portfolio_report.sharing is not None:
-            counters = portfolio_report.sharing
+        if report.mode == "cube":
+            _comment(f"cube split: {report.num_cubes} cubes on "
+                     f"variables {report.cube_variables}", quiet)
+        if report.sharing is not None:
+            counters = report.sharing
             _comment(f"sharing: exported {counters.get('exported', 0)} "
                      f"imported {counters.get('imported', 0)} "
                      f"filtered {counters.get('filtered', 0)}", quiet)
-        if portfolio_report.winner is not None:
-            _comment(f"winner: {portfolio_report.winner}", quiet)
+        if report.winner is not None:
+            _comment(f"winner: {report.winner}", quiet)
 
-    stats = result.stats
-    if result.status == "MEMOUT":
+    stats = run.stats
+    sat = run.status == "SAT"
+    if run.status == "MEMOUT":
         _comment("WARNING: memory ceiling reached; result is MEMOUT", quiet)
     _comment(f"decisions {stats.decisions} conflicts {stats.conflicts} "
              f"propagations {stats.propagations} restarts {stats.restarts}",
              quiet)
-    _comment(f"solve time {solve_time:.3f} s "
-             f"(total {transform_time + solve_time:.3f} s)", quiet)
+    _comment(f"solve time {run.solve_time:.3f} s "
+             f"(total {transform_time + run.solve_time:.3f} s)", quiet)
 
     proof_path = None
     if args.proof is not None:
-        cnf_sibling = write_refuted_cnf(cnf, args.proof, result.status, [
-            "CNF refuted by the DRAT proof in " + Path(args.proof).name,
-            f"source: {args.file}",
-        ])
-        if cnf_sibling is not None:
+        # run_pipeline wrote <proof>.cnf beside a kept UNSAT proof.
+        if run.status == "UNSAT" and os.path.exists(args.proof):
             proof_path = args.proof
+            cnf_sibling = args.proof + ".cnf"
             _comment(f"proof: wrote {args.proof} and {cnf_sibling}; verify "
                      f"with 'repro proof check {cnf_sibling} {args.proof}'",
                      quiet)
         else:
             _comment(f"proof: no DRAT proof produced "
-                     f"(status {result.status})", quiet)
+                     f"(status {run.status})", quiet)
 
     status_word = {"SAT": "SATISFIABLE", "UNSAT": "UNSATISFIABLE"}.get(
-        result.status, "UNKNOWN")
+        run.status, "UNKNOWN")
     print(f"s {status_word}")
-    if result.is_sat and not args.no_model:
-        for line in _model_lines(result, cnf.num_vars):
+    if sat and not args.no_model:
+        for line in _model_lines(run.model, cnf.num_vars):
             print(line)
 
     if args.json is not None:
@@ -382,14 +386,14 @@ def cmd_solve(args: argparse.Namespace) -> int:
             "recipe": recipe,
             "backend": backend.name,
             "config": config.name,
-            "status": result.status,
+            "status": run.status,
             "num_vars": cnf.num_vars,
             "num_clauses": cnf.num_clauses,
             "transform_time": transform_time,
-            "solve_time": solve_time,
+            "solve_time": run.solve_time,
             "stats": stats.as_dict(),
-            "model": ({str(var): value for var, value in result.model.items()}
-                      if result.is_sat and not args.no_model else None),
+            "model": ({str(var): value for var, value in run.model.items()}
+                      if sat and not args.no_model else None),
             "proof": proof_path,
         }
         payload["resilience"] = {
@@ -399,12 +403,12 @@ def cmd_solve(args: argparse.Namespace) -> int:
             "fallback_events": (list(resilient.events)
                                 if resilient is not None else []),
             "mem_limit_mb": args.mem_limit,
-            "memout": result.status == "MEMOUT",
+            "memout": run.status == "MEMOUT",
         }
-        if portfolio_report is not None:
-            payload["portfolio"] = portfolio_report.as_dict()
+        if report is not None:
+            payload["portfolio"] = report.as_dict()
         _write_json(payload, args.json)
-    return EXIT_CODES.get(result.status, 0)
+    return EXIT_CODES.get(run.status, 0)
 
 
 def cmd_preprocess(args: argparse.Namespace) -> int:
@@ -725,19 +729,22 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--config", default="kissat_like",
                        choices=sorted(CONFIG_PRESETS),
                        help="internal-solver preset (default: kissat_like)")
-    solve.add_argument("--time-limit", type=float, default=None, metavar="S",
+    solve.add_argument("--time-limit", type=positive_float, default=None,
+                       metavar="S",
                        help="soft solver time limit in seconds")
-    solve.add_argument("--max-conflicts", type=int, default=None,
+    solve.add_argument("--max-conflicts", type=nonnegative_int, default=None,
                        help="internal-solver conflict budget")
-    solve.add_argument("--max-decisions", type=int, default=None,
+    solve.add_argument("--max-decisions", type=nonnegative_int, default=None,
                        help="internal-solver decision budget")
     solve.add_argument("--no-model", action="store_true",
                        help="suppress the 'v' model lines on SAT")
-    solve.add_argument("--retries", type=int, default=0, metavar="N",
+    solve.add_argument("--retries", type=nonnegative_int, default=0,
+                       metavar="N",
                        help="retry transient backend failures (crashed "
                             "binary, I/O error) up to N times before giving "
                             "up or falling back (default: 0)")
-    solve.add_argument("--mem-limit", type=float, default=None, metavar="MB",
+    solve.add_argument("--mem-limit", type=positive_float, default=None,
+                       metavar="MB",
                        help="soft memory ceiling for solving; exceeding it "
                             "yields a clean MEMOUT verdict (exit code 0) "
                             "instead of an OOM kill")

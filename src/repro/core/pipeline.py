@@ -49,7 +49,6 @@ __all__ = [
     "encode_aig",
     "ours_pipeline",
     "run_pipeline",
-    "write_refuted_cnf",
 ]
 
 
@@ -165,22 +164,6 @@ def encode_aig(aig: AIG, pipeline: str | Callable[..., tuple[Cnf, float]],
     return cnf, transform_time
 
 
-def write_refuted_cnf(cnf: Cnf, proof: str, status: str,
-                      comments: list[str] | tuple[str, ...] = ()) -> str | None:
-    """Write ``cnf`` beside a kept DRAT proof as ``<proof>.cnf``.
-
-    A proof refutes the CNF that was actually solved (after any circuit
-    preprocessing), so ``repro proof check`` needs that exact formula next
-    to it.  Only an ``UNSAT`` verdict whose proof file was kept has one;
-    returns the sibling's path, or ``None`` when nothing was written.
-    """
-    if status != "UNSAT" or not os.path.exists(proof):
-        return None
-    sibling = proof + ".cnf"
-    write_dimacs_file(cnf, sibling, comments=comments)
-    return sibling
-
-
 def run_pipeline(instance: AIG | Cnf,
                  pipeline: str | Callable[[AIG], tuple[Cnf, float]],
                  instance_name: str = "", config: SolverConfig | None = None,
@@ -213,8 +196,8 @@ def run_pipeline(instance: AIG | Cnf,
 
     ``proof`` requests a DRAT proof of an UNSAT verdict at that path.  The
     proof refutes the *preprocessed* CNF this call built, not the input
-    AIG, so that CNF is written beside it as ``<proof>.cnf`` (the pair
-    ``repro proof check`` takes, see :func:`write_refuted_cnf`).
+    AIG, so an UNSAT verdict whose proof was kept gets that CNF written
+    beside it as ``<proof>.cnf`` (the pair ``repro proof check`` takes).
     """
     pipeline_name = _label(pipeline)
     if isinstance(instance, Cnf):
@@ -224,21 +207,15 @@ def run_pipeline(instance: AIG | Cnf,
         logger.info("pipeline %s on %s", pipeline_name, name or "<unnamed>")
         cnf, transform_time = encode_aig(instance, pipeline, name,
                                          pipeline_kwargs)
-    solve_kwargs: dict = {}
-    if proof is not None:
-        # Only passed when requested, so backend instances predating the
-        # proof parameter keep working.
-        solve_kwargs["proof"] = proof
     result: SolveResult = resolve_backend(backend, **(backend_kwargs or {})).solve(
         cnf, config=config, time_limit=time_limit,
-        max_conflicts=max_conflicts, max_decisions=max_decisions,
-        **solve_kwargs,
-    )
+        max_conflicts=max_conflicts, max_decisions=max_decisions, proof=proof)
     logger.info("pipeline %s on %s: %s (%.3f s transform, %.3f s solve)",
                 pipeline_name, name or "<unnamed>", result.status,
                 transform_time, result.stats.solve_time)
-    if proof is not None:
-        write_refuted_cnf(cnf, proof, result.status)
+    if proof is not None and result.status == "UNSAT" \
+            and os.path.exists(proof):
+        write_dimacs_file(cnf, proof + ".cnf")
     return InstanceRun(
         instance_name=name,
         pipeline_name=pipeline_name,

@@ -230,23 +230,28 @@ class Tracer:
 
         Root spans (those without a parent) are re-parented under
         ``parent_id`` — typically the span that launched the worker — so the
-        merged trace stays one tree.  ``worker`` overrides the worker label
-        of the absorbed records.  Per-process ``meta`` records are dropped
-        (the merged trace keeps only the parent's).  Returns the number of
-        records absorbed; a missing or torn file absorbs what it can.
+        merged trace stays one tree, and so is every span or event whose
+        parent span a worker terminated mid-span never wrote.
+        ``worker`` overrides the worker label of the absorbed records.
+        Per-process ``meta`` records are dropped (the merged trace keeps
+        only the parent's).  Returns the number of records absorbed; a
+        missing or torn file absorbs what it can.
         """
-        absorbed = 0
-        for record in read_trace(path):
-            if record.get("type") == "meta":
-                continue
-            if record.get("type") == "span" and "parent" not in record \
-                    and parent_id is not None:
-                record["parent"] = parent_id
+        records = [record for record in read_trace(path)
+                   if record.get("type") != "meta"]
+        span_ids = {record["id"] for record in records
+                    if record.get("type") == "span"}
+        for record in records:
+            if parent_id is not None:
+                if record.get("type") == "span":
+                    if record.get("parent") not in span_ids:
+                        record["parent"] = parent_id
+                elif "span" in record and record["span"] not in span_ids:
+                    record["span"] = parent_id
             if worker is not None:
                 record["worker"] = worker
             self._emit(record)
-            absorbed += 1
-        return absorbed
+        return len(records)
 
     def close(self) -> None:
         """Finish open spans, flush metrics and close the file."""

@@ -21,6 +21,7 @@ from repro.benchgen.suite import (
     generate_test_suite,
     generate_training_suite,
 )
+from repro.cli.main import positive_int
 from repro.core.pipeline import PIPELINES
 from repro.errors import BackendError
 from repro.obs import Tracer, configure_logging, use_tracer, verbosity_level
@@ -30,6 +31,7 @@ from repro.runner.store import ResultStore
 from repro.runner.task import Task
 from repro.sat.backends import (
     BACKEND_NAMES,
+    ensure_available,
     fold_portfolio_flags,
     get_backend,
     is_internal,
@@ -41,12 +43,6 @@ SUITES = {
     "training": (generate_training_suite, 0),
     "test": (generate_test_suite, 1000),
 }
-
-def _positive_int(value: str) -> int:
-    parsed = int(value)
-    if parsed < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {parsed}")
-    return parsed
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -73,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "(internal), the parallel portfolio harness "
                              "(portfolio) or a real external binary found "
                              "on PATH (default: internal)")
-    parser.add_argument("--portfolio", type=_positive_int, default=None,
+    parser.add_argument("--portfolio", type=positive_int, default=None,
                         metavar="N",
                         help="race N diversified internal solvers per task "
                              "(implies --backend portfolio)")
@@ -87,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--hard-timeout", type=float, default=None,
                         help="per-task wall-clock kill in seconds "
                              "(default: 2x time limit + 30 s)")
-    parser.add_argument("--jobs", type=_positive_int, default=1,
+    parser.add_argument("--jobs", type=positive_int, default=1,
                         help="worker processes (default: 1 = in-process)")
     parser.add_argument("--retries", type=int, default=None, metavar="N",
                         help="per-task retry cap for transient failures and "
@@ -146,16 +142,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         backend, backend_kwargs = fold_portfolio_flags(
             args.backend, args.portfolio, args.cube_depth)
+        ensure_available(get_backend(backend, **backend_kwargs))
     except BackendError as error:
         print(f"error: {error}")
         return 2
-
-    if not is_internal(backend):
-        probe = get_backend(backend, **backend_kwargs)
-        if not probe.available():
-            print(f"error: solver backend {backend!r} is not available "
-                  f"on this machine (no binary on PATH)")
-            return 2
 
     store_path = args.store
     if store_path is None:

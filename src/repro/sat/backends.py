@@ -148,9 +148,16 @@ def _compose_progress(tracer, progress, watchdog=None):
 
 
 class InternalBackend:
-    """The built-in pure-Python CDCL solver (:func:`repro.sat.solver.solve_cnf`)."""
+    """The built-in pure-Python CDCL solver (:func:`repro.sat.solver.solve_cnf`).
+
+    ``progress`` is called with a :class:`repro.sat.stats.ProgressSnapshot`
+    every 2048 conflicts (the CLI's ``-v`` lines).
+    """
 
     name = "internal"
+
+    def __init__(self, progress=None) -> None:
+        self.progress = progress
 
     def available(self) -> bool:
         return True
@@ -160,15 +167,11 @@ class InternalBackend:
               max_conflicts: int | None = None,
               max_decisions: int | None = None,
               assumptions: list[int] | None = None,
-              proof: str | None = None,
-              progress=None,
-              progress_interval: int = DEFAULT_PROGRESS_INTERVAL) -> SolveResult:
+              proof: str | None = None) -> SolveResult:
         """Solve ``cnf`` with the built-in CDCL solver.
 
-        ``progress`` (a :class:`repro.sat.stats.ProgressSnapshot` callback,
-        sampled every ``progress_interval`` conflicts) is specific to this
-        backend; when a tracer is active each snapshot is also recorded as a
-        ``progress`` trace event and the whole run as a ``solve`` span.
+        When a tracer is active each progress snapshot is also recorded as
+        a ``progress`` trace event and the whole run as a ``solve`` span.
 
         When a process-global watchdog is armed
         (:func:`repro.resilience.get_watchdog`), its checks ride the same
@@ -179,9 +182,8 @@ class InternalBackend:
         """
         tracer = get_tracer()
         watchdog = get_watchdog()
-        if watchdog is not None:
-            progress_interval = min(progress_interval,
-                                    WATCHDOG_PROGRESS_INTERVAL)
+        progress_interval = DEFAULT_PROGRESS_INTERVAL if watchdog is None \
+            else WATCHDOG_PROGRESS_INTERVAL
         logger.debug("internal solve: %d vars, %d clauses",
                      cnf.num_vars, len(cnf.clauses))
         with tracer.span("solve", backend=self.name, num_vars=cnf.num_vars,
@@ -193,7 +195,7 @@ class InternalBackend:
                                    max_decisions=max_decisions,
                                    assumptions=assumptions, proof=proof,
                                    progress=_compose_progress(
-                                       tracer, progress, watchdog),
+                                       tracer, self.progress, watchdog),
                                    progress_interval=progress_interval)
             except MemoryError:
                 result = SolveResult(
@@ -441,10 +443,10 @@ class PortfolioBackend:
     (:func:`repro.sat.portfolio.solve_cube_and_conquer`).
 
     The backend satisfies the :class:`SolverBackend` protocol, so it threads
-    through pipelines, tasks and CLIs like any other backend.  Callers that
-    want the per-worker breakdown (the CLI's ``c worker`` lines, the perf
-    suite) use :meth:`solve_detailed`, which returns the full
-    :class:`repro.sat.portfolio.PortfolioResult`.  In cube mode
+    through pipelines, tasks and CLIs like any other backend.  Each
+    :meth:`solve` keeps its full :class:`repro.sat.portfolio.PortfolioResult`
+    on :attr:`report` for callers that want the per-worker breakdown (the
+    CLI's ``c worker`` lines).  In cube mode
     ``max_conflicts``/``max_decisions`` are per-cube budgets.
 
     ``share_clauses`` turns on clause sharing between the racing workers
@@ -477,37 +479,38 @@ class PortfolioBackend:
         self.cube_depth = cube_depth
         self.seed = seed
         self.share_clauses = share_clauses
+        self.report = None
 
     def available(self) -> bool:
         return True
 
-    def solve_detailed(self, cnf: Cnf, config: SolverConfig | None = None,
-                       time_limit: float | None = None,
-                       max_conflicts: int | None = None,
-                       max_decisions: int | None = None,
-                       assumptions: list[int] | None = None,
-                       proof: str | None = None):
-        """Solve and return the full :class:`PortfolioResult`."""
+    def solve(self, cnf: Cnf, config: SolverConfig | None = None,
+              time_limit: float | None = None,
+              max_conflicts: int | None = None,
+              max_decisions: int | None = None,
+              assumptions: list[int] | None = None,
+              proof: str | None = None) -> SolveResult:
         from repro.sat.portfolio import solve_cube_and_conquer, solve_portfolio
 
         seed = self.seed + (config.seed if config is not None else 0)
         if self.cube_depth > 0:
-            detailed = solve_cube_and_conquer(
+            report = solve_cube_and_conquer(
                 cnf, cube_depth=self.cube_depth,
                 num_workers=self.num_workers, config=config,
                 seed=seed, time_limit=time_limit,
                 max_conflicts=max_conflicts, max_decisions=max_decisions,
                 assumptions=assumptions, proof=proof)
         else:
-            detailed = solve_portfolio(
+            report = solve_portfolio(
                 cnf, num_workers=self.num_workers, base_config=config,
                 seed=seed, time_limit=time_limit, max_conflicts=max_conflicts,
                 max_decisions=max_decisions, assumptions=assumptions,
                 sharing=self.share_clauses, proof=proof)
-        self._shed_on_spawn_failures(detailed)
-        return detailed
+        self._shed_on_spawn_failures(report)
+        self.report = report
+        return report.result
 
-    def _shed_on_spawn_failures(self, detailed) -> None:
+    def _shed_on_spawn_failures(self, report) -> None:
         """Degrade worker count when the OS refused to spawn workers.
 
         Repeated ``fork``/``spawn`` failures signal a host under memory or
@@ -515,7 +518,7 @@ class PortfolioBackend:
         the next call, the backend sheds the failed workers (never below
         one — the last worker runs in-process and cannot fail to spawn).
         """
-        failed = sum(1 for worker in detailed.workers
+        failed = sum(1 for worker in report.workers
                      if worker.status == "SPAWN_FAILED")
         if not failed or self.num_workers <= 1:
             return
@@ -528,17 +531,6 @@ class PortfolioBackend:
         logger.warning(
             "portfolio shed %d -> %d workers after %d spawn failure(s)",
             previous, self.num_workers, failed)
-
-    def solve(self, cnf: Cnf, config: SolverConfig | None = None,
-              time_limit: float | None = None,
-              max_conflicts: int | None = None,
-              max_decisions: int | None = None,
-              assumptions: list[int] | None = None,
-              proof: str | None = None) -> SolveResult:
-        return self.solve_detailed(
-            cnf, config=config, time_limit=time_limit,
-            max_conflicts=max_conflicts, max_decisions=max_decisions,
-            assumptions=assumptions, proof=proof).result
 
     def __repr__(self) -> str:
         return (f"PortfolioBackend(num_workers={self.num_workers}, "

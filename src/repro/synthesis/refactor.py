@@ -1,7 +1,7 @@
 """Reconvergence-driven cone refactoring (the ``refactor`` action).
 
 Refactoring operates on larger cones than rewriting: for every node a single
-reconvergence-driven cut of up to ``max_leaves`` leaves is computed, the cone
+reconvergence-driven cut of up to ``MAX_LEAVES`` leaves is computed, the cone
 function is collapsed to a truth table, re-expressed as an irredundant SOP,
 algebraically factored, and the factored structure replaces the cone when it
 frees more AND nodes than it adds.  This mirrors ABC's ``refactor`` command
@@ -22,15 +22,14 @@ from repro.synthesis.resynth import (
 )
 
 
-def refactor(aig: AIG, max_leaves: int = 10, min_cone_size: int = 3,
-             allow_zero_gain: bool = False) -> AIG:
-    """Return a refactored, functionally equivalent AIG.
+#: The cut size (the collapsed table has ``2**MAX_LEAVES`` bits) and the
+#: fewest nodes a cone must free to be evaluated at all.
+MAX_LEAVES = 10
+MIN_CONE_SIZE = 3
 
-    ``max_leaves`` bounds the reconvergence-driven cut size (the collapsed
-    truth table has ``2**max_leaves`` bits, so 10-12 is a practical limit);
-    cones freeing fewer than ``min_cone_size`` nodes are not even evaluated,
-    which keeps the operation fast on large netlists.
-    """
+
+def refactor(aig: AIG) -> AIG:
+    """Return a refactored, functionally equivalent AIG."""
     pass_state = ReplacementPass(aig)
     aig = pass_state.aig  # private working copy; the input stays intact
     fanout_counts = aig.fanout_counts()
@@ -42,19 +41,17 @@ def refactor(aig: AIG, max_leaves: int = 10, min_cone_size: int = 3,
         fanins_changed = resolved0 != lit0 or resolved1 != lit1
 
         replacement = None
-        leaves = reconvergence_cut(aig, var, max_leaves=max_leaves)
+        leaves = reconvergence_cut(aig, var, max_leaves=MAX_LEAVES)
         if len(leaves) >= 2 and var not in leaves:
             freed = cut_cone_gain(aig, var, leaves, fanout_counts)
-            if freed >= min_cone_size:
+            if freed >= MIN_CONE_SIZE:
                 nvars = len(leaves)
                 table = cone_truth_table(aig, var, leaves) & tt_mask(nvars)
                 if table not in (0, tt_mask(nvars)):
                     program = cut_program(table, nvars)
                     leaf_literals = [pass_state.resolve(leaf * 2) for leaf in leaves]
                     added = count_new_nodes(aig, program, leaf_literals)
-                    gain = freed - added
-                    threshold = 0 if allow_zero_gain else 1
-                    if gain >= threshold:
+                    if added < freed:
                         replacement = build_factored(aig, program, leaf_literals)
 
         if replacement is not None and lit_var(replacement) != var:

@@ -24,8 +24,12 @@ from repro.synthesis.cuts import reconvergence_cut, window_tables
 from repro.synthesis.resynth import ReplacementPass, cut_cone_gain
 
 
-def resub(aig: AIG, max_leaves: int = 8, max_divisors: int = 20,
-          try_one_resub: bool = True) -> AIG:
+#: Window cut size and the divisor cap per node.
+MAX_LEAVES = 8
+MAX_DIVISORS = 20
+
+
+def resub(aig: AIG) -> AIG:
     """Return a resubstituted, functionally equivalent AIG."""
     pass_state = ReplacementPass(aig)
     aig = pass_state.aig  # private working copy; the input stays intact
@@ -37,10 +41,8 @@ def resub(aig: AIG, max_leaves: int = 8, max_divisors: int = 20,
         resolved1 = pass_state.resolve(lit1)
         fanins_changed = resolved0 != lit0 or resolved1 != lit1
 
-        replacement = _find_resubstitution(
-            aig, var, fanout_counts, max_leaves, max_divisors, try_one_resub,
-            pass_state,
-        )
+        replacement = _find_resubstitution(aig, var, fanout_counts,
+                                           pass_state)
 
         if replacement is not None and lit_var(replacement) != var:
             pass_state.replace(var, replacement)
@@ -51,11 +53,9 @@ def resub(aig: AIG, max_leaves: int = 8, max_divisors: int = 20,
 
 
 def _find_resubstitution(aig: AIG, var: int, fanout_counts: list[int],
-                         max_leaves: int, max_divisors: int,
-                         try_one_resub: bool,
                          pass_state: ReplacementPass) -> int | None:
     """Return a replacement literal for ``var`` or None when nothing is found."""
-    leaves = reconvergence_cut(aig, var, max_leaves=max_leaves)
+    leaves = reconvergence_cut(aig, var, max_leaves=MAX_LEAVES)
     if len(leaves) < 2 or var in leaves:
         return None
     freed = cut_cone_gain(aig, var, leaves, fanout_counts)
@@ -76,7 +76,7 @@ def _find_resubstitution(aig: AIG, var: int, fanout_counts: list[int],
             continue
         if fanout_counts[node] > 1:
             divisors.append(node)
-        if len(divisors) >= max_divisors:
+        if len(divisors) >= MAX_DIVISORS:
             break
 
     def divisor_literal(divisor: int, complemented: bool) -> int:
@@ -91,7 +91,7 @@ def _find_resubstitution(aig: AIG, var: int, fanout_counts: list[int],
         if tables[divisor] == complement:
             return divisor_literal(divisor, True)
 
-    if not try_one_resub or freed < 2:
+    if freed < 2:
         return None
 
     # 1-resub: the node equals AND/OR of two divisors in some polarity.

@@ -23,17 +23,16 @@ from repro.synthesis.resynth import (
 )
 
 
-def rewrite(aig: AIG, cut_size: int = 4, max_cuts: int = 8,
-            allow_zero_gain: bool = False) -> AIG:
-    """Return a rewritten, functionally equivalent AIG.
+#: Cut size and priority-cut count of the 4-feasible cut enumeration.
+CUT_SIZE = 4
+MAX_CUTS = 8
 
-    ``allow_zero_gain`` accepts replacements that do not change the node
-    count; this mirrors ABC's ``rewrite -z`` and is occasionally useful to
-    escape local minima in longer recipes.
-    """
+
+def rewrite(aig: AIG) -> AIG:
+    """Return a rewritten, functionally equivalent AIG."""
     pass_state = ReplacementPass(aig)
     aig = pass_state.aig  # private working copy; the input stays intact
-    cuts = enumerate_cuts(aig, k=cut_size, max_cuts=max_cuts)
+    cuts = enumerate_cuts(aig, k=CUT_SIZE, max_cuts=MAX_CUTS)
     fanout_counts = aig.fanout_counts()
 
     for var in aig.and_vars():
@@ -43,7 +42,7 @@ def rewrite(aig: AIG, cut_size: int = 4, max_cuts: int = 8,
         fanins_changed = resolved0 != lit0 or resolved1 != lit1
 
         best_literal = None
-        best_gain = 0 if allow_zero_gain else 1
+        best_gain = 1
         for cut in cuts[var]:
             if cut.size < 2 or cut.leaves == (var,):
                 continue

@@ -322,3 +322,52 @@ class TestSolvePortfolio:
                      "--solver-binary", "/opt/kissat"])
         assert code == 1
         assert "solver-binary" in capsys.readouterr().err
+
+
+class TestSolveNumbers:
+    @pytest.mark.parametrize("flag, value", [
+        ("--time-limit", "0"), ("--time-limit", "-5"),
+        ("--mem-limit", "0"), ("--mem-limit", "-3"),
+        ("--retries", "-1"), ("--max-conflicts", "-1"),
+        ("--max-decisions", "-1"), ("--max-conflicts", "many"),
+    ])
+    def test_bad_number_is_a_usage_error(self, sat_cnf_file, flag, value,
+                                         capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["solve", sat_cnf_file, flag, value])
+        assert excinfo.value.code == 2
+        assert f"argument {flag}" in capsys.readouterr().err
+
+    def test_boundary_values_are_accepted(self, sat_cnf_file):
+        args = build_parser().parse_args([
+            "solve", sat_cnf_file, "--retries", "0", "--max-conflicts", "0",
+            "--max-decisions", "0", "--time-limit", "0.5",
+            "--mem-limit", "0.5"])
+        assert (args.retries, args.max_conflicts, args.max_decisions) \
+            == (0, 0, 0)
+        assert (args.time_limit, args.mem_limit) == (0.5, 0.5)
+
+
+class TestSolveOutput:
+    @pytest.fixture
+    def php7_file(self, tmp_path):
+        from repro.benchgen.random_logic import pigeonhole_cnf
+
+        return str(write_dimacs_file(pigeonhole_cnf(7), tmp_path / "php7.cnf"))
+
+    def test_verbose_prints_progress_lines(self, php7_file, capsys):
+        main(["solve", php7_file, "-v", "--max-conflicts", "2100"])
+        out = capsys.readouterr().out
+        assert any(line.startswith("c ") and " conflicts " in line
+                   and "conf/s" in line for line in out.splitlines())
+
+    def test_quiet_silences_progress_lines(self, php7_file, capsys):
+        main(["solve", php7_file, "-v", "-q", "--max-conflicts", "2100"])
+        assert capsys.readouterr().out.splitlines() == ["s UNKNOWN"]
+
+    def test_json_solve_time_is_the_solver_stat(self, sat_cnf_file,
+                                                tmp_path):
+        report = tmp_path / "report.json"
+        assert main(["solve", sat_cnf_file, "--json", str(report)]) == 10
+        payload = json.loads(report.read_text())
+        assert payload["solve_time"] == payload["stats"]["solve_time"]

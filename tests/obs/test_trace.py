@@ -1,6 +1,7 @@
 """Unit tests for the tracing core: spans, the global tracer, JSONL I/O."""
 
 import json
+import time
 
 import pytest
 
@@ -147,6 +148,30 @@ class TestFileBacked:
         assert all(s["worker"] == "w1" for s in spans_of(parent.records)
                    if s["name"] != "portfolio")
         assert validate_tree(parent.records) == []
+
+    def test_absorb_reparents_children_of_a_missing_span(self, tmp_path):
+        # A worker terminated inside worker_solve has written its finished
+        # cube_solve span and a progress event, but never worker_solve.
+        parent = Tracer()
+        with parent.span("portfolio") as span:
+            now = time.time()
+            worker_path = tmp_path / "w2.jsonl"
+            worker_path.write_text("\n".join(json.dumps(record) for record in [
+                {"type": "meta", "schema": 1, "ts": now},
+                {"type": "event", "name": "progress", "ts": now, "pid": 7,
+                 "span": "7.1-1", "attrs": {"conflicts": 64}},
+                {"type": "span", "name": "cube_solve", "id": "7.1-2",
+                 "parent": "7.1-1", "ts": now, "dur": 0.0, "cpu": 0.0,
+                 "pid": 7},
+            ]) + "\n")
+            assert parent.absorb(worker_path, parent_id=span.span_id,
+                                 worker="w2") == 2
+        parent.close()
+        assert validate_tree(parent.records) == []
+        (cube,) = [s for s in spans_of(parent.records)
+                   if s["name"] == "cube_solve"]
+        (progress,) = [r for r in parent.records if r["type"] == "event"]
+        assert cube["parent"] == progress["span"] == span.span_id
 
     def test_absorb_missing_file_absorbs_nothing(self, tmp_path):
         parent = Tracer()

@@ -51,6 +51,20 @@ class TestMain:
         assert len(records) == 2
 
 
+    def test_missing_binary_exits_2_naming_the_override(self, tmp_path,
+                                                         capsys,
+                                                         monkeypatch):
+        monkeypatch.setenv("REPRO_SOLVER_KISSAT", str(tmp_path / "kissat"))
+        code = main(["--suite", "training", "--size", "1",
+                     "--backend", "kissat",
+                     "--store", str(tmp_path / "sweep.jsonl")])
+        assert code == 2
+        out = capsys.readouterr().out
+        assert "error: solver backend 'kissat' is not available" in out
+        assert "REPRO_SOLVER_KISSAT" in out
+        assert not (tmp_path / "sweep.jsonl").exists()
+
+
 class TestPortfolioFlags:
     def test_fold_portfolio_flags_defaults(self):
         from repro.sat.backends import fold_portfolio_flags

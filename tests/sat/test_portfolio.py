@@ -208,14 +208,16 @@ def test_portfolio_backend_solve_and_detailed():
     backend = PortfolioBackend(num_workers=2)
     result = backend.solve(cnf, config=kissat_like())
     assert result.status == solve_cnf(cnf).status
-    detailed = backend.solve_detailed(cnf)
+    backend.solve(cnf)
+    detailed = backend.report
     assert detailed.mode == "portfolio"
 
 
 def test_portfolio_backend_cube_mode():
     cnf = random_cnf(18, 55, seed=7, min_width=3, max_width=3)
     backend = PortfolioBackend(num_workers=2, cube_depth=2)
-    detailed = backend.solve_detailed(cnf)
+    backend.solve(cnf)
+    detailed = backend.report
     assert detailed.mode == "cube"
     assert detailed.status == solve_cnf(cnf).status
 
