@@ -9,11 +9,15 @@ this module provides.
 
 Ordering is by descending activity with ascending variable index as the tie
 break, so the branching order is fully deterministic for a fixed activity
-trajectory.  The heap stores a *reference* to the solver's activity list:
-callers mutate activities in place and then notify the heap via
-:meth:`VarOrderHeap.update` (after increases) or rebuild after global
-rescaling (rescaling preserves relative order, so no action is needed
-there).
+trajectory.  The heap stores a *reference* to the solver's activity list.
+
+The methods here serve the cold paths (the initial bulk build, ``new_var``).
+The solver's hot paths — the bump in conflict analysis, the re-insertion on
+backtrack and the pop for the next decision — sift on :attr:`heap` and
+:attr:`position` directly, in the same order, because on a Python
+interpreter the method-call layers cost more than the sifting itself.
+Global activity rescaling preserves relative order, so it needs no heap
+action.
 """
 
 from __future__ import annotations
@@ -65,12 +69,6 @@ class VarOrderHeap:
         self.position[var] = len(self.heap) - 1
         self._sift_up(len(self.heap) - 1)
 
-    def update(self, var: int) -> None:
-        """Re-establish heap order after ``activity[var]`` increased."""
-        index = self.position[var]
-        if index >= 0:
-            self._sift_up(index)
-
     def pop(self) -> int:
         """Remove and return the variable with the highest activity."""
         heap = self.heap
@@ -87,22 +85,20 @@ class VarOrderHeap:
     # Sifting
     # ------------------------------------------------------------------ #
 
-    def _precedes(self, first: int, second: int) -> bool:
-        activity = self.activity
-        act_first = activity[first]
-        act_second = activity[second]
-        if act_first != act_second:
-            return act_first > act_second
-        return first < second
+    # A variable precedes another when its activity is higher, or equal
+    # with a lower index.
 
     def _sift_up(self, index: int) -> None:
         heap = self.heap
         position = self.position
+        activity = self.activity
         var = heap[index]
+        act = activity[var]
         while index > 0:
             parent_index = (index - 1) >> 1
             parent = heap[parent_index]
-            if not self._precedes(var, parent):
+            parent_act = activity[parent]
+            if parent_act > act or (parent_act == act and parent < var):
                 break
             heap[index] = parent
             position[parent] = index
@@ -113,18 +109,24 @@ class VarOrderHeap:
     def _sift_down(self, index: int) -> None:
         heap = self.heap
         position = self.position
+        activity = self.activity
         size = len(heap)
         var = heap[index]
+        act = activity[var]
         while True:
             child_index = 2 * index + 1
             if child_index >= size:
                 break
-            right_index = child_index + 1
-            if right_index < size and self._precedes(heap[right_index],
-                                                     heap[child_index]):
-                child_index = right_index
             child = heap[child_index]
-            if not self._precedes(child, var):
+            child_act = activity[child]
+            right_index = child_index + 1
+            if right_index < size:
+                right = heap[right_index]
+                right_act = activity[right]
+                if right_act > child_act or (right_act == child_act
+                                             and right < child):
+                    child_index, child, child_act = right_index, right, right_act
+            if child_act < act or (child_act == act and child > var):
                 break
             heap[index] = child
             position[child] = index

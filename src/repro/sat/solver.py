@@ -172,7 +172,6 @@ class CdclSolver:
         # counts as "set" when it equals the current epoch, so clearing is a
         # single integer increment instead of a fresh allocation.
         self._seen_stamp = [0] * self.num_vars
-        self._marked_stamp = [0] * self.num_vars
         self._level_stamp = [0] * (self.num_vars + 1)
         self._epoch = 0
 
@@ -248,18 +247,19 @@ class CdclSolver:
             index = len(self._clauses)
             self._clauses.append(literals)
             self._clause_lbd.append(lbd if learned else 0)
+        tag = index if len(literals) > 2 else ~index
         watch0 = self._watches[literals[0]]
-        watch0.append(index)
+        watch0.append(tag)
         watch0.append(literals[1])
         watch1 = self._watches[literals[1]]
-        watch1.append(index)
+        watch1.append(tag)
         watch1.append(literals[0])
         if learned:
             self._learned_indices.append(index)
         return index
 
     def _detach_watch(self, literal: int, clause_index: int) -> None:
-        """Remove one (clause, blocker) pair from a watch list."""
+        """Remove one (clause, blocker) pair of a non-binary clause."""
         watch_list = self._watches[literal]
         for position in range(0, len(watch_list), 2):
             if watch_list[position] == clause_index:
@@ -440,7 +440,6 @@ class CdclSolver:
         self._activity.append(0.0)
         self._saved_phase.append(self.config.default_phase)
         self._seen_stamp.append(0)
-        self._marked_stamp.append(0)
         self._level_stamp.append(0)
         self._order.grow()
         self._order.insert(var)
@@ -559,64 +558,69 @@ class CdclSolver:
         reason = self._reason
         trail = self._trail
         decision_level = len(self._trail_lim)
-        propagations = 0
-        while self._queue_head < len(trail):
-            literal = trail[self._queue_head]
-            self._queue_head += 1
-            propagations += 1
-            false_literal = literal ^ 1
+        head = start = self._queue_head
+        while head < len(trail):
+            false_literal = trail[head] ^ 1
+            head += 1
             watch_list = watches[false_literal]
             read = 0
             write = 0
             length = len(watch_list)
             while read < length:
-                clause_index = watch_list[read]
+                tag = watch_list[read]
                 blocker = watch_list[read + 1]
                 read += 2
                 # Blocker already true: the clause is satisfied, skip it
                 # without touching the clause itself.
                 if lit_val[blocker] == 1:
-                    watch_list[write] = clause_index
+                    watch_list[write] = tag
                     watch_list[write + 1] = blocker
                     write += 2
                     continue
-                clause = clauses[clause_index]
-                # Ensure the false literal is in position 1.
-                if clause[0] == false_literal:
-                    clause[0] = clause[1]
+                if tag < 0:
+                    # Binary clause: the blocker is the other literal, so
+                    # the clause is unit or conflicting.  The false literal
+                    # still moves to position 1, where analysis expects it.
+                    clause_index = ~tag
+                    clause = clauses[clause_index]
+                    clause[0] = first = blocker
                     clause[1] = false_literal
-                first = clause[0]
-                if lit_val[first] == 1:
-                    watch_list[write] = clause_index
-                    watch_list[write + 1] = first
-                    write += 2
-                    continue
-                # Look for a replacement watch.
-                found = False
-                for position in range(2, len(clause)):
-                    candidate = clause[position]
-                    if lit_val[candidate] != 0:
-                        clause[1] = candidate
-                        clause[position] = false_literal
-                        other_list = watches[candidate]
-                        other_list.append(clause_index)
-                        other_list.append(first)
-                        found = True
-                        break
-                if found:
-                    continue
+                else:
+                    clause_index = tag
+                    clause = clauses[clause_index]
+                    # Ensure the false literal is in position 1.
+                    if clause[0] == false_literal:
+                        clause[0] = clause[1]
+                        clause[1] = false_literal
+                    first = clause[0]
+                    if lit_val[first] == 1:
+                        watch_list[write] = tag
+                        watch_list[write + 1] = first
+                        write += 2
+                        continue
+                    # Look for a replacement watch.
+                    found = False
+                    for position in range(2, len(clause)):
+                        candidate = clause[position]
+                        if lit_val[candidate] != 0:
+                            clause[1] = candidate
+                            clause[position] = false_literal
+                            other_list = watches[candidate]
+                            other_list.append(tag)
+                            other_list.append(first)
+                            found = True
+                            break
+                    if found:
+                        continue
                 # No replacement: clause is unit or conflicting.
-                watch_list[write] = clause_index
+                watch_list[write] = tag
                 watch_list[write + 1] = first
                 write += 2
                 if lit_val[first] == 0:
                     # Conflict: keep the remaining watchers and bail out.
-                    while read < length:
-                        watch_list[write] = watch_list[read]
-                        write += 1
-                        read += 1
-                    del watch_list[write:]
-                    self.stats.propagations += propagations
+                    del watch_list[write:read]
+                    self._queue_head = head
+                    self.stats.propagations += head - start
                     return clause_index
                 # Unit: enqueue (inlined for the hot path).
                 lit_val[first] = 1
@@ -626,7 +630,8 @@ class CdclSolver:
                 reason[var] = clause_index
                 trail.append(first)
             del watch_list[write:]
-        self.stats.propagations += propagations
+        self._queue_head = head
+        self.stats.propagations += head - start
         return -1
 
     # ------------------------------------------------------------------ #
@@ -634,7 +639,13 @@ class CdclSolver:
     # ------------------------------------------------------------------ #
 
     def _analyze(self, conflict_index: int) -> tuple[list[int], int, int]:
-        """First-UIP analysis; returns (learned clause, backtrack level, lbd)."""
+        """First-UIP analysis; returns (learned clause, backtrack level, lbd).
+
+        Each variable the analysis meets gets its VSIDS bump here, sifted up
+        the heap in place.  Resolved variables keep their seen stamp: the
+        trail walk only moves down, and the literal a reason clause implied
+        sits at its position 0, so whole clauses can be scanned.
+        """
         self._epoch += 1
         epoch = self._epoch
         seen = self._seen_stamp
@@ -642,94 +653,92 @@ class CdclSolver:
         trail = self._trail
         clauses = self._clauses
         reasons = self._reason
+        activity = self._activity
+        var_inc = self._var_inc
+        heap = self._order.heap
+        heap_position = self._order.position
 
-        learned: list[int] = [0]  # placeholder for the asserting literal
+        lower: list[int] = []  # learned literals below the conflict level
         counter = 0
-        literal = -1
         index = len(trail) - 1
         clause_index = conflict_index
         current_level = len(self._trail_lim)
 
         while True:
-            clause = clauses[clause_index]
-            for position in range(0 if literal == -1 else 1, len(clause)):
-                reason_literal = clause[position]
+            for reason_literal in clauses[clause_index]:
                 var = reason_literal >> 1
-                if seen[var] == epoch or level[var] == 0:
+                if seen[var] == epoch:
+                    continue
+                var_level = level[var]
+                if not var_level:
                     continue
                 seen[var] = epoch
-                self._bump_variable(var)
-                if level[var] >= current_level:
-                    counter += 1
+                if var_level < current_level:
+                    lower.append(reason_literal)
                 else:
-                    learned.append(reason_literal)
+                    counter += 1
+                act = activity[var] + var_inc
+                activity[var] = act
+                if act > 1e100:
+                    # Rescaling is uniform, so the heap order is unaffected.
+                    activity[:] = [value * 1e-100 for value in activity]
+                    var_inc *= 1e-100
+                    self._var_inc = var_inc
+                    act = activity[var]
+                slot = heap_position[var]
+                if slot > 0:
+                    while slot:
+                        parent_slot = (slot - 1) >> 1
+                        parent = heap[parent_slot]
+                        parent_act = activity[parent]
+                        if parent_act > act or (parent_act == act
+                                                and parent < var):
+                            break
+                        heap[slot] = parent
+                        heap_position[parent] = slot
+                        slot = parent_slot
+                    heap[slot] = var
+                    heap_position[var] = slot
             # Select the next literal to resolve on.
             while seen[trail[index] >> 1] != epoch:
                 index -= 1
             literal = trail[index]
             index -= 1
-            var = literal >> 1
-            seen[var] = 0
             counter -= 1
-            if counter == 0:
+            if not counter:
                 break
-            clause_index = reasons[var]
-        learned[0] = literal ^ 1
+            clause_index = reasons[literal >> 1]
 
-        # Learned-clause minimisation: drop literals implied by the rest.
-        marked = self._marked_stamp
-        for learned_literal in learned:
-            marked[learned_literal >> 1] = epoch
-        minimized = [learned[0]]
-        for reason_literal in learned[1:]:
+        # Minimise: drop a literal whose reason holds only seen or level-0
+        # variables (a reason never holds a later, conflict-level variable,
+        # so "seen" here means "in the learned clause").  The kept literals
+        # give the backtrack level, the literal to watch second and the LBD.
+        learned = [literal ^ 1]
+        level_stamp = self._level_stamp
+        lbd = 1
+        backtrack_level = 0
+        max_index = 1
+        for reason_literal in lower:
             var = reason_literal >> 1
             reason_index = reasons[var]
-            if reason_index == -1:
-                minimized.append(reason_literal)
-                continue
-            implied = True
-            for other in clauses[reason_index]:
-                other_var = other >> 1
-                if (other_var != var and marked[other_var] != epoch
-                        and level[other_var] != 0):
-                    implied = False
-                    break
-            if not implied:
-                minimized.append(reason_literal)
-        learned = minimized
-
-        # Compute the backtrack level and the LBD (glue) of the clause.
-        if len(learned) == 1:
-            backtrack_level = 0
-        else:
-            max_index = 1
-            for position in range(2, len(learned)):
-                if (level[learned[position] >> 1]
-                        > level[learned[max_index] >> 1]):
-                    max_index = position
-            learned[1], learned[max_index] = learned[max_index], learned[1]
-            backtrack_level = level[learned[1] >> 1]
-        level_stamp = self._level_stamp
-        lbd = 0
-        for learned_literal in learned:
-            literal_level = level[learned_literal >> 1]
-            if level_stamp[literal_level] != epoch:
-                level_stamp[literal_level] = epoch
+            if reason_index != -1:
+                for other in clauses[reason_index]:
+                    other_var = other >> 1
+                    if seen[other_var] != epoch and level[other_var]:
+                        break
+                else:
+                    continue
+            var_level = level[var]
+            if var_level > backtrack_level:
+                backtrack_level = var_level
+                max_index = len(learned)
+            if level_stamp[var_level] != epoch:
+                level_stamp[var_level] = epoch
                 lbd += 1
+            learned.append(reason_literal)
+        if backtrack_level:
+            learned[1], learned[max_index] = learned[max_index], learned[1]
         return learned, backtrack_level, lbd
-
-    def _bump_variable(self, var: int) -> None:
-        activity = self._activity
-        activity[var] += self._var_inc
-        if activity[var] > 1e100:
-            # Rescaling is uniform, so the heap order is unaffected.
-            for index in range(self.num_vars):
-                activity[index] *= 1e-100
-            self._var_inc *= 1e-100
-        self._order.update(var)
-
-    def _decay_activities(self) -> None:
-        self._var_inc /= self.config.var_decay
 
     def _backtrack(self, level: int) -> None:
         if len(self._trail_lim) <= level:
@@ -737,19 +746,36 @@ class CdclSolver:
         trail = self._trail
         lit_val = self._lit_val
         reasons = self._reason
-        order = self._order
+        activity = self._activity
+        heap = self._order.heap
+        heap_position = self._order.position
         saved_phase = self._saved_phase
         phase_saving = self.config.phase_saving
         boundary = self._trail_lim[level]
-        for position in range(len(trail) - 1, boundary - 1, -1):
-            literal = trail[position]
+        for literal in reversed(trail[boundary:]):
             var = literal >> 1
             if phase_saving:
                 saved_phase[var] = (literal & 1) == 0
             lit_val[literal] = _UNASSIGNED
             lit_val[literal ^ 1] = _UNASSIGNED
             reasons[var] = -1
-            order.insert(var)
+            if heap_position[var] < 0:
+                # Back onto the VSIDS heap: append, then sift up.
+                slot = len(heap)
+                heap.append(var)
+                act = activity[var]
+                while slot:
+                    parent_slot = (slot - 1) >> 1
+                    parent = heap[parent_slot]
+                    parent_act = activity[parent]
+                    if parent_act > act or (parent_act == act
+                                            and parent < var):
+                        break
+                    heap[slot] = parent
+                    heap_position[parent] = slot
+                    slot = parent_slot
+                heap[slot] = var
+                heap_position[var] = slot
         del trail[boundary:]
         del self._trail_lim[level:]
         self._queue_head = len(trail)
@@ -761,13 +787,43 @@ class CdclSolver:
     def _pick_branch_variable(self) -> int:
         # Every unassigned variable is on the heap (the initial bulk build
         # inserts all of them and _backtrack re-inserts on unassignment), so
-        # popping until an unassigned variable surfaces is complete.
-        order = self._order
+        # popping until an unassigned variable surfaces is complete.  Each
+        # pop moves the last heap entry to the root and sifts it down.
+        heap = self._order.heap
+        heap_position = self._order.position
+        activity = self._activity
         lit_val = self._lit_val
-        while order.heap:
-            var = order.pop()
-            if lit_val[2 * var] == _UNASSIGNED:
-                return var
+        while heap:
+            top = heap[0]
+            heap_position[top] = -1
+            last = heap.pop()
+            size = len(heap)
+            if size:
+                act = activity[last]
+                slot = 0
+                while True:
+                    child_slot = 2 * slot + 1
+                    if child_slot >= size:
+                        break
+                    child = heap[child_slot]
+                    child_act = activity[child]
+                    right_slot = child_slot + 1
+                    if right_slot < size:
+                        right = heap[right_slot]
+                        right_act = activity[right]
+                        if right_act > child_act or (right_act == child_act
+                                                     and right < child):
+                            child_slot, child, child_act = \
+                                right_slot, right, right_act
+                    if child_act < act or (child_act == act and child > last):
+                        break
+                    heap[slot] = child
+                    heap_position[child] = slot
+                    slot = child_slot
+                heap[slot] = last
+                heap_position[last] = slot
+            if lit_val[2 * top] == _UNASSIGNED:
+                return top
         return -1
 
     def _decide(self) -> bool:
@@ -914,7 +970,7 @@ class CdclSolver:
                     index = self._attach_clause(learned, lbd=lbd, learned=True)
                     stats.learned_clauses += 1
                     self._enqueue(learned[0], index)
-                self._decay_activities()
+                self._var_inc /= self.config.var_decay
                 stats.learned_db_size = len(self._learned_indices)
                 if self._progress_interval:
                     self._dl_ema += 0.02 * (conflict_level - self._dl_ema)

@@ -88,10 +88,14 @@ class TestInPlaceReduction:
         assert result.status in ("SAT", "UNSAT")
         if result.stats.deleted_clauses:
             # Tombstoned slots exist or were recycled; watch lists must never
-            # reference a deleted (None) clause.
+            # reference a deleted (None) clause.  Binary clauses are watched
+            # under the tag ~index, longer ones under their index.
             for watch_list in solver._watches:
                 for position in range(0, len(watch_list), 2):
-                    assert solver._clauses[watch_list[position]] is not None
+                    tag = watch_list[position]
+                    clause = solver._clauses[tag if tag >= 0 else ~tag]
+                    assert clause is not None
+                    assert (tag < 0) == (len(clause) == 2)
 
     def test_correct_verdict_under_aggressive_reduction(self):
         config = SolverConfig(reduce_interval=5, reduce_fraction=1.0,
@@ -110,13 +114,20 @@ class TestVarOrderHeap:
         assert [heap.pop() for _ in range(5)] == [1, 3, 2, 0, 4]
         assert len(heap) == 0
 
-    def test_update_moves_bumped_variable_up(self):
-        activity = [0.0] * 4
-        heap = VarOrderHeap(activity)
-        heap.build(list(range(4)))
-        activity[3] = 10.0
-        heap.update(3)
-        assert heap.pop() == 3
+    def test_solver_keeps_heap_order_through_search(self):
+        # The solver bumps, re-inserts and pops on the heap's arrays itself;
+        # stopped mid-search, the heap must still be ordered and indexed.
+        cnf = _random_cnf(60, 256, seed=2, min_width=3, max_width=3)
+        solver = CdclSolver(cnf, config=SolverConfig(random_decision_freq=0.05))
+        assert solver.solve(max_conflicts=60).status == "UNKNOWN"
+        order = solver._order
+        activity = solver._activity
+        for slot, var in enumerate(order.heap):
+            assert order.position[var] == slot
+            if slot:
+                parent = order.heap[(slot - 1) >> 1]
+                assert (activity[parent], -parent) > (activity[var], -var)
+        assert sum(1 for slot in order.position if slot >= 0) == len(order)
 
     def test_insert_is_idempotent(self):
         activity = [1.0, 2.0]
