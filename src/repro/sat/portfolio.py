@@ -618,8 +618,9 @@ def _aggregate_stats(reports: list[WorkerReport],
     return total
 
 
-def _winning_result(message: dict) -> SolveResult:
-    stats: SolverStats = message["stats"]
+def _winning_result(message: dict, wall_time: float) -> SolveResult:
+    # The race took wall_time; the winner's own time stays on its report.
+    stats = replace(message["stats"], solve_time=wall_time)
     return SolveResult(status=message["status"], model=message.get("model"),
                        stats=stats, core=message.get("core"))
 
@@ -832,7 +833,7 @@ def _drive(mode: str, cnf: Cnf, configs: list[SolverConfig],
                            if _decisive(message)), None)
             tail = None
             if winner is not None:
-                result = _winning_result(winner)
+                result = _winning_result(winner, wall_time)
                 winner_name = configs[winner["index"]].name
             else:
                 _raise_if_all_workers_failed(configs, messages)

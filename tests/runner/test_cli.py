@@ -22,6 +22,15 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["--suite", "nope"])
 
+    @pytest.mark.parametrize("argv", [["--mem-limit", "-3"],
+                                      ["--mem-limit", "0"],
+                                      ["--retries", "-1"]])
+    def test_rejects_out_of_range_limits(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert argv[0] in capsys.readouterr().err
+
 
 class TestMain:
     def run_cli(self, tmp_path, capsys, extra=()):

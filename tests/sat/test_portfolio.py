@@ -213,6 +213,23 @@ def test_portfolio_backend_solve_and_detailed():
     assert detailed.mode == "portfolio"
 
 
+def test_portfolio_solve_time_is_the_race_wall_clock():
+    from repro.benchgen import multiplier_commutativity_miter
+    from repro.core import run_pipeline
+
+    backend = PortfolioBackend(num_workers=2)
+    run = run_pipeline(multiplier_commutativity_miter(3), "Baseline",
+                       config=kissat_like(), backend=backend)
+    report = backend.report
+    assert run.status == "UNSAT"
+    assert run.solve_time == report.wall_time
+    assert run.stats.solve_time == report.wall_time
+    # The winner keeps its own, shorter solve time on its report.
+    winner = next(worker for worker in report.workers
+                  if worker.config_name == report.winner)
+    assert 0 < winner.stats.solve_time < report.wall_time
+
+
 def test_portfolio_backend_cube_mode():
     cnf = random_cnf(18, 55, seed=7, min_width=3, max_width=3)
     backend = PortfolioBackend(num_workers=2, cube_depth=2)
