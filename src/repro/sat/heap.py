@@ -11,13 +11,11 @@ Ordering is by descending activity with ascending variable index as the tie
 break, so the branching order is fully deterministic for a fixed activity
 trajectory.  The heap stores a *reference* to the solver's activity list.
 
-The methods here serve the cold paths (the initial bulk build, ``new_var``).
-The solver's hot paths — the bump in conflict analysis, the re-insertion on
-backtrack and the pop for the next decision — sift on :attr:`heap` and
-:attr:`position` directly, in the same order, because on a Python
-interpreter the method-call layers cost more than the sifting itself.
-Global activity rescaling preserves relative order, so it needs no heap
-action.
+These methods serve the cold paths (bulk build, ``new_var``).  The solver's
+hot paths — the bump in conflict analysis, the re-insertion on backtrack
+and the branching pop — sift :attr:`heap` and :attr:`position` in place, in
+the same order: in Python the call layers cost more than the sifting.
+Global rescaling of activities preserves their order and needs no action.
 """
 
 from __future__ import annotations
@@ -84,9 +82,6 @@ class VarOrderHeap:
     # ------------------------------------------------------------------ #
     # Sifting
     # ------------------------------------------------------------------ #
-
-    # A variable precedes another when its activity is higher, or equal
-    # with a lower index.
 
     def _sift_up(self, index: int) -> None:
         heap = self.heap

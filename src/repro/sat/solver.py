@@ -5,11 +5,15 @@ modern additions the paper's target solvers (Kissat, CaDiCaL) rely on:
 
 * two-watched-literal unit propagation with *blocker literals* (each watch
   carries a cached literal of its clause; when the blocker is already true
-  the clause is skipped without dereferencing it);
+  the clause is skipped without dereferencing it).  A binary clause is
+  watched under the tag ``~index`` with the other literal as blocker, so a
+  binary watch whose blocker is not true is unit or conflicting at once;
 * first-UIP conflict analysis with learned-clause minimisation, running on
   epoch-stamped scratch arrays so no per-conflict allocation is needed;
 * VSIDS variable activities on an indexed binary heap
-  (:class:`repro.sat.heap.VarOrderHeap`) with phase saving;
+  (:class:`repro.sat.heap.VarOrderHeap`) with phase saving.  The bump in
+  analysis, the re-insertion on backtrack and the branching pop sift the
+  heap's arrays in place, without method calls;
 * Luby or geometric restarts;
 * glue-based (LBD) learned-clause database reduction performed in place:
   deleted clauses are detached from their two watch lists and their slots
@@ -578,9 +582,8 @@ class CdclSolver:
                     write += 2
                     continue
                 if tag < 0:
-                    # Binary clause: the blocker is the other literal, so
-                    # the clause is unit or conflicting.  The false literal
-                    # still moves to position 1, where analysis expects it.
+                    # Binary clause: unit or conflicting.  The false literal
+                    # still goes to position 1, where analysis expects it.
                     clause_index = ~tag
                     clause = clauses[clause_index]
                     clause[0] = first = blocker
@@ -641,10 +644,8 @@ class CdclSolver:
     def _analyze(self, conflict_index: int) -> tuple[list[int], int, int]:
         """First-UIP analysis; returns (learned clause, backtrack level, lbd).
 
-        Each variable the analysis meets gets its VSIDS bump here, sifted up
-        the heap in place.  Resolved variables keep their seen stamp: the
-        trail walk only moves down, and the literal a reason clause implied
-        sits at its position 0, so whole clauses can be scanned.
+        Resolved variables keep their seen stamp: the trail walk only moves
+        down, and a reason's implied literal sits at its position 0.
         """
         self._epoch += 1
         epoch = self._epoch
@@ -787,8 +788,7 @@ class CdclSolver:
     def _pick_branch_variable(self) -> int:
         # Every unassigned variable is on the heap (the initial bulk build
         # inserts all of them and _backtrack re-inserts on unassignment), so
-        # popping until an unassigned variable surfaces is complete.  Each
-        # pop moves the last heap entry to the root and sifts it down.
+        # popping until an unassigned variable surfaces is complete.
         heap = self._order.heap
         heap_position = self._order.position
         activity = self._activity
