@@ -85,11 +85,13 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default: 2x time limit + 30 s)")
     parser.add_argument("--jobs", type=positive_int, default=1,
                         help="worker processes (default: 1 = in-process)")
-    parser.add_argument("--retries", type=nonnegative_int, default=None, metavar="N",
+    parser.add_argument("--retries", type=nonnegative_int, default=None,
+                        metavar="N",
                         help="per-task retry cap for transient failures and "
                              "dead workers (default: a conservative built-in "
                              "policy; 0 disables retries entirely)")
-    parser.add_argument("--mem-limit", type=positive_float, default=None, metavar="MB",
+    parser.add_argument("--mem-limit", type=positive_float, default=None,
+                        metavar="MB",
                         help="per-worker memory ceiling; a task exceeding it "
                              "ends as a MEMOUT run instead of invoking the "
                              "OOM killer")

@@ -120,7 +120,8 @@ class VarOrderHeap:
                 right_act = activity[right]
                 if right_act > child_act or (right_act == child_act
                                              and right < child):
-                    child_index, child, child_act = right_index, right, right_act
+                    child_index, child, child_act = \
+                        right_index, right, right_act
             if child_act < act or (child_act == act and child > var):
                 break
             heap[index] = child

@@ -156,8 +156,8 @@ class CdclSolver:
         self._clause_lbd: list[int] = []
         self._learned_indices: list[int] = []
         self._free_indices: list[int] = []
-        # Watch lists are flat interleaved arrays:
-        # [clause_index0, blocker0, clause_index1, blocker1, ...].
+        # Watch lists are flat interleaved arrays [tag0, blocker0, ...]; the
+        # tag is the clause index, or ~index for a binary clause.
         self._watches: list[list[int]] = [[] for _ in range(2 * self.num_vars)]
 
         self._lit_val = [_UNASSIGNED] * (2 * self.num_vars)

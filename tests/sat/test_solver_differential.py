@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.benchgen import random_cnf as _random_cnf
+from repro.cnf.cnf import Cnf
 from repro.sat import CdclSolver, SolverConfig, cadical_like, dpll_solve, kissat_like
 from repro.sat.heap import VarOrderHeap
 
@@ -115,19 +116,25 @@ class TestVarOrderHeap:
         assert len(heap) == 0
 
     def test_solver_keeps_heap_order_through_search(self):
-        # The solver bumps, re-inserts and pops on the heap's arrays itself;
-        # stopped mid-search, the heap must still be ordered and indexed.
+        # The solver bumps, re-inserts and pops on the heap's arrays itself.
+        # Check the heap mid-search (bumped activities) and after unwinding
+        # a conflict-free solve (all activities tie, so indices decide).
         cnf = _random_cnf(60, 256, seed=2, min_width=3, max_width=3)
-        solver = CdclSolver(cnf, config=SolverConfig(random_decision_freq=0.05))
-        assert solver.solve(max_conflicts=60).status == "UNKNOWN"
-        order = solver._order
-        activity = solver._activity
-        for slot, var in enumerate(order.heap):
-            assert order.position[var] == slot
-            if slot:
-                parent = order.heap[(slot - 1) >> 1]
-                assert (activity[parent], -parent) > (activity[var], -var)
-        assert sum(1 for slot in order.position if slot >= 0) == len(order)
+        searching = CdclSolver(cnf, config=SolverConfig(random_decision_freq=0.05))
+        assert searching.solve(max_conflicts=60).status == "UNKNOWN"
+        unwound = CdclSolver(Cnf(12))
+        assert unwound.solve().is_sat and unwound.stats.conflicts == 0
+        assert unwound.add_clause([1, 2])
+        for solver in (searching, unwound):
+            order = solver._order
+            activity = solver._activity
+            for slot, var in enumerate(order.heap):
+                assert order.position[var] == slot
+                if slot:
+                    parent = order.heap[(slot - 1) >> 1]
+                    assert (activity[parent], -parent) > (activity[var], -var)
+            assert sum(slot >= 0 for slot in order.position) == len(order)
+        assert len(unwound._order) == 12
 
     def test_insert_is_idempotent(self):
         activity = [1.0, 2.0]
