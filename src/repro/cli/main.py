@@ -883,7 +883,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--time-limit", type=float, default=60.0,
                        help="default per-job solver time limit in seconds "
                             "(default: 60)")
-    serve.add_argument("--hard-timeout", type=float, default=None,
+    serve.add_argument("--hard-timeout", type=positive_float, default=None,
                        help="default per-job wall-clock kill budget "
                             "(default: derived from the time limit)")
     serve.add_argument("--mem-limit", type=float, default=None, metavar="MB",

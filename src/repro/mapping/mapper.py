@@ -32,6 +32,7 @@ from repro.mapping.lut import LutNetlist
 from repro.synthesis.cuts import Cut, enumerate_cuts
 
 CostFunction = Callable[[int, int], float]
+Candidate = tuple[tuple[int, ...], float, Cut]
 
 
 @dataclass
@@ -46,41 +47,46 @@ class MappingResult:
 
 def map_aig(aig: AIG, k: int = 4, cost_fn: CostFunction = area_cost,
             max_cuts: int = 8, recovery_passes: int = 2) -> MappingResult:
-    """Map ``aig`` into a k-LUT netlist minimising the given cost function."""
+    """Map ``aig`` into a k-LUT netlist minimising the given cost function.
+
+    ``cost_fn`` must be pure: it is called once per non-trivial cut of each
+    AND node, and that cost is reused by every pass and by the final total.
+    """
     if k < 2:
         raise MappingError("LUT size must be at least 2")
     cuts = enumerate_cuts(aig, k=k, max_cuts=max_cuts)
-    fanout_counts = aig.fanout_counts()
     # Estimated fanout used for cost flow; at least 1 to avoid division by 0.
-    est_refs = [max(1, count) for count in fanout_counts]
+    est_refs = [max(1, count) for count in aig.fanout_counts()]
 
     and_vars = list(aig.and_vars())
-    best_cut: dict[int, Cut] = {}
-    arrival: dict[int, int] = {var: 0 for var in aig.pis}
-    arrival[0] = 0
-    flow: dict[int, float] = {var: 0.0 for var in aig.pis}
-    flow[0] = 0.0
-
-    def nontrivial_cuts(var: int) -> list[Cut]:
-        usable = [cut for cut in cuts[var] if cut.leaves != (var,)]
+    # Each AND node's non-trivial cuts as (leaves, cost, cut), costed once.
+    candidates: dict[int, list[Candidate]] = {}
+    for var in and_vars:
+        usable = [(cut.leaves, cost_fn(cut.table, cut.size), cut)
+                  for cut in cuts[var] if cut.leaves != (var,)]
         if not usable:
             raise MappingError(f"node {var} has no non-trivial cut")
-        return usable
+        candidates[var] = usable
+    best: dict[int, Candidate] = {}
+    # A cut's arrival is 1 + the latest leaf arrival, and its flow is its
+    # cost + the sum of ``flow[leaf] / est_refs[leaf]`` over its leaves;
+    # ``share`` holds those quotients, indexed by variable like ``arrival``.
+    arrival = [0] * aig.num_vars
+    share = [0.0] * aig.num_vars
+    arrival_of = arrival.__getitem__
+    share_of = share.__getitem__
 
-    def cut_arrival(cut: Cut) -> int:
-        return 1 + max(arrival[leaf] for leaf in cut.leaves)
-
-    def cut_flow(cut: Cut) -> float:
-        cost = cost_fn(cut.table, cut.size)
-        return cost + sum(flow[leaf] / est_refs[leaf] for leaf in cut.leaves)
-
-    # Phase 1: delay-oriented selection.
+    # Phase 1: delay-oriented selection, the first cut of least
+    # (arrival, flow); the index makes ``min`` keep the first of equals.
     for var in and_vars:
-        candidates = nontrivial_cuts(var)
-        chosen = min(candidates, key=lambda c: (cut_arrival(c), cut_flow(c)))
-        best_cut[var] = chosen
-        arrival[var] = cut_arrival(chosen)
-        flow[var] = cut_flow(chosen)
+        options = candidates[var]
+        depth, flow, index = min([
+            (1 + max(map(arrival_of, leaves)),
+             cost + sum(map(share_of, leaves)), index)
+            for index, (leaves, cost, _) in enumerate(options)])
+        best[var] = options[index]
+        arrival[var] = depth
+        share[var] = flow / est_refs[var]
 
     if not aig.pos:
         return MappingResult(netlist=LutNetlist(name=aig.name), total_cost=0.0,
@@ -89,16 +95,20 @@ def map_aig(aig: AIG, k: int = 4, cost_fn: CostFunction = area_cost,
     # Depth constraint from the delay-oriented pass.
     required_depth = max(arrival[lit_var(po)] for po in aig.pos)
 
-    # Phase 2: cost recovery subject to the depth constraint.
+    # Phase 2: cost recovery, the first cut of least (flow, arrival) among
+    # those meeting the depth constraint, or among all when none does.
     for _ in range(max(0, recovery_passes)):
         for var in and_vars:
-            candidates = nontrivial_cuts(var)
-            feasible = [c for c in candidates if cut_arrival(c) <= required_depth]
-            pool = feasible if feasible else candidates
-            chosen = min(pool, key=lambda c: (cut_flow(c), cut_arrival(c)))
-            best_cut[var] = chosen
-            arrival[var] = cut_arrival(chosen)
-            flow[var] = cut_flow(chosen)
+            options = candidates[var]
+            scored = [(cost + sum(map(share_of, leaves)),
+                       1 + max(map(arrival_of, leaves)), index)
+                      for index, (leaves, cost, _) in enumerate(options)]
+            flow, depth, index = min(
+                [score for score in scored if score[1] <= required_depth]
+                or scored)
+            best[var] = options[index]
+            arrival[var] = depth
+            share[var] = flow / est_refs[var]
 
     # Phase 3: derive the cover from the POs.
     netlist = LutNetlist(name=aig.name)
@@ -106,35 +116,26 @@ def map_aig(aig: AIG, k: int = 4, cost_fn: CostFunction = area_cost,
     for pi_var, pi_name in zip(aig.pis, aig.pi_names):
         aig_to_lut[pi_var] = netlist.add_pi(pi_name)
 
-    needed: list[int] = []
-    visited: set[int] = set()
-    stack = [lit_var(po) for po in aig.pos if aig.is_and(lit_var(po))]
+    # ``best`` holds exactly the AND nodes.
+    needed: set[int] = set()
+    stack = [lit_var(po) for po in aig.pos if lit_var(po) in best]
     while stack:
         var = stack.pop()
-        if var in visited:
-            continue
-        visited.add(var)
-        needed.append(var)
-        for leaf in best_cut[var].leaves:
-            if aig.is_and(leaf) and leaf not in visited:
-                stack.append(leaf)
+        if var not in needed:
+            needed.add(var)
+            stack.extend(leaf for leaf in best[var][0] if leaf in best)
 
     total_cost = 0.0
     for var in sorted(needed):
-        cut = best_cut[var]
-        fanin_ids = [aig_to_lut[leaf] for leaf in cut.leaves]
-        aig_to_lut[var] = netlist.add_lut(tuple(fanin_ids), cut.table)
-        total_cost += cost_fn(cut.table, cut.size)
+        leaves, cost, cut = best[var]
+        aig_to_lut[var] = netlist.add_lut(
+            tuple([aig_to_lut[leaf] for leaf in leaves]), cut.table)
+        total_cost += cost
 
     for po, po_name in zip(aig.pos, aig.po_names):
-        po_var = lit_var(po)
-        complemented = lit_is_complemented(po)
-        if po_var == 0:
-            # Constant output: encode as a 0-input LUT.
-            constant_id = netlist.add_lut((), 0)
-            netlist.add_po(constant_id, complemented, po_name)
-            continue
-        netlist.add_po(aig_to_lut[po_var], complemented, po_name)
+        # A constant output is encoded as a 0-input LUT.
+        node = aig_to_lut[lit_var(po)] if po > 1 else netlist.add_lut((), 0)
+        netlist.add_po(node, lit_is_complemented(po), po_name)
 
     return MappingResult(
         netlist=netlist,
@@ -142,3 +143,4 @@ def map_aig(aig: AIG, k: int = 4, cost_fn: CostFunction = area_cost,
         depth=netlist.depth(),
         num_luts=netlist.num_luts,
     )
+

@@ -22,7 +22,8 @@ Two guards keep the check meaningful on noisy, heterogeneous CI runners:
 
 Counter mismatches (the suite is seeded, so counters are bit-for-bit
 reproducible for identical source) are reported as warnings, or as failures
-under ``--strict-counters``.
+under ``--strict-counters``.  So are baseline benchmarks and counters that
+the fresh run lacks: a change that drops one must not pass unseen.
 """
 
 from __future__ import annotations
@@ -57,8 +58,9 @@ def compare_payloads(fresh: dict, baseline: dict, max_ratio: float = 2.0,
 
     The result dictionary has ``rows`` (one per shared benchmark: name,
     medians, raw and normalised ratio, regression flag), ``regressions``
-    (names over the threshold), ``counter_mismatches`` and ``scale`` (the
-    median raw ratio used for normalisation; 1.0 when disabled).
+    (names over the threshold), ``counter_mismatches``, ``missing`` (baseline
+    benchmarks and ``name.counter`` keys that ``fresh`` lacks) and ``scale``
+    (the median raw ratio used for normalisation; 1.0 when disabled).
     """
     fresh_benchmarks = fresh.get("benchmarks", {})
     baseline_benchmarks = baseline.get("benchmarks", {})
@@ -100,9 +102,12 @@ def compare_payloads(fresh: dict, baseline: dict, max_ratio: float = 2.0,
         })
 
     counter_mismatches = []
+    missing = sorted(set(baseline_benchmarks) - set(fresh_benchmarks))
     for name in shared:
         base_counters = baseline_benchmarks[name].get("counters") or {}
         new_counters = fresh_benchmarks[name].get("counters") or {}
+        missing += [f"{name}.{key}" for key in sorted(base_counters)
+                    if key not in new_counters]
         for key in sorted(set(base_counters) & set(new_counters)):
             if key.endswith(("_ms", "speedup")) or key in ("overhead", "rps"):
                 continue  # timing-derived counters are not reproducible
@@ -118,6 +123,7 @@ def compare_payloads(fresh: dict, baseline: dict, max_ratio: float = 2.0,
         "rows": rows,
         "regressions": regressions,
         "counter_mismatches": counter_mismatches,
+        "missing": missing,
     }
 
 
@@ -165,7 +171,8 @@ def main(argv: list[str] | None = None) -> int:
                              "the suite-wide median ratio")
     parser.add_argument("--strict-counters", action="store_true",
                         help="also fail when deterministic counters differ "
-                             "from the baseline")
+                             "from the baseline, or when a baseline "
+                             "benchmark or counter is missing")
     args = parser.parse_args(argv)
 
     try:
@@ -187,12 +194,15 @@ def main(argv: list[str] | None = None) -> int:
         print("error: the two files share no benchmarks", file=sys.stderr)
         return 2
     print(format_report(verdict, args.max_ratio))
-    for mismatch in verdict["counter_mismatches"]:
-        print(f"counter mismatch: {mismatch}",
-              file=sys.stderr if args.strict_counters else sys.stdout)
+    problems = ([f"counter mismatch: {item}"
+                 for item in verdict["counter_mismatches"]]
+                + [f"missing from the fresh run: {item}"
+                   for item in verdict["missing"]])
+    for problem in problems:
+        print(problem, file=sys.stderr if args.strict_counters else sys.stdout)
     if verdict["regressions"]:
         return 1
-    if args.strict_counters and verdict["counter_mismatches"]:
+    if args.strict_counters and problems:
         return 1
     return 0
 

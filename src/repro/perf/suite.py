@@ -9,10 +9,10 @@ two hot paths the reproduction spends its time in:
 * the CDCL solver's propagate/analyze cycle (random 3-SAT near the phase
   transition, the pigeonhole principle, a LEC miter);
 * the synthesis kernels (cut enumeration, bit-parallel simulation,
-  exhaustive-pattern generation, AIG structural queries) and the paper's
-  synthesis layer (``rewrite``, ``refactor``, ``resub``, ISOP + algebraic
-  factoring) and the branching-cost LUT mapper on seeded test-suite
-  circuits.
+  exhaustive-pattern generation, AIG structural queries) and every layer of
+  the paper's flow on seeded test-suite circuits: ``balance``, ``rewrite``,
+  ``refactor``, ``resub``, ISOP + algebraic factoring, the branching-cost
+  LUT mapper and the LUT-to-CNF encoding.
 
 ``--quick`` shrinks every workload so the whole suite finishes in a few
 seconds — that mode exists for CI smoke coverage, not for trajectory
@@ -36,6 +36,7 @@ from repro.benchgen.lec import corner_case_miter, multiplier_commutativity_miter
 from repro.benchgen.random_logic import pigeonhole_cnf, random_aig, random_cnf
 from repro.benchgen.suite import generate_test_suite
 from repro.cnf.cnf import Cnf
+from repro.cnf.lut2cnf import lut_netlist_to_cnf
 from repro.cnf.tseitin import tseitin_encode
 from repro.logic.sop import Sop, factor_sop
 from repro.logic.truthtable import tt_mask
@@ -48,7 +49,7 @@ from repro.sat.proof import check_drat_file
 from repro.sat.sharing import interleaved_sharing_race
 from repro.sat.solver import CdclSolver, solve_cnf
 from repro.server.loadgen import build_workload
-from repro.synthesis import refactor, resub, rewrite
+from repro.synthesis import balance, refactor, resub, rewrite
 from repro.synthesis.cuts import cone_truth_table, enumerate_cuts, reconvergence_cut
 from repro.synthesis.resynth import cut_program
 
@@ -486,6 +487,13 @@ def _map_batch(aigs: list[AIG]) -> dict[str, float]:
             "cost": sum(result.total_cost for result in results)}
 
 
+def _encode_batch(netlists: list) -> dict[str, float]:
+    """Encode every LUT netlist into CNF, as Ours does after mapping."""
+    cnfs = [lut_netlist_to_cnf(netlist) for netlist in netlists]
+    return {"vars": sum(cnf.num_vars for cnf in cnfs),
+            "clauses": sum(cnf.num_clauses for cnf in cnfs)}
+
+
 def _cone_tables(aigs: list[AIG], max_leaves: int = 10) -> list[tuple[int, int]]:
     """The distinct non-constant cone functions ``refactor`` would collapse."""
     tables = set()
@@ -673,6 +681,14 @@ def default_suite(quick: bool = False) -> list[Benchmark]:
             run=_server_throughput_batch,
         ),
         Benchmark(
+            name="synth_balance",
+            category="synthesis",
+            description=f"balance (minimum-depth AND trees) on "
+                        f"{len(synth_picks)} seeded test-suite circuits",
+            setup=lambda: _suite_circuits(synth_picks),
+            run=lambda aigs: _ands_batch(balance, aigs),
+        ),
+        Benchmark(
             name="synth_rewrite",
             category="synthesis",
             description=f"rewrite (4-cuts, ISOP + factoring) on "
@@ -706,6 +722,16 @@ def default_suite(quick: bool = False) -> list[Benchmark]:
                         f"{len(synth_picks)} circuits",
             setup=lambda: _suite_circuits(synth_picks),
             run=_map_batch,
+        ),
+        Benchmark(
+            name="encode_lut",
+            category="synthesis",
+            description=f"LUT-to-CNF encoding (ISOP of both polarities per "
+                        f"LUT) of the map_lut netlists of the same "
+                        f"{len(synth_picks)} circuits",
+            setup=lambda: [map_aig(aig, k=4, cost_fn=branching_cost).netlist
+                           for aig in _suite_circuits(synth_picks)],
+            run=_encode_batch,
         ),
         Benchmark(
             name="isop_factor",

@@ -80,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--time-limit", type=float, default=60.0,
                         help="per-instance soft solver limit in seconds "
                              "(default: 60; <= 0 disables)")
-    parser.add_argument("--hard-timeout", type=float, default=None,
+    parser.add_argument("--hard-timeout", type=positive_float, default=None,
                         help="per-task wall-clock kill in seconds "
                              "(default: 2x time limit + 30 s)")
     parser.add_argument("--jobs", type=positive_int, default=1,

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
+from operator import itemgetter
 
 from repro.aig.aig import AIG
 from repro.errors import AigError
@@ -26,7 +27,7 @@ from repro.logic.truthtable import tt_expand, tt_mask, tt_var
 _TRIVIAL_TABLE = tt_var(0, 1)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Cut:
     """A k-feasible cut: sorted leaf variables plus the root's truth table.
 
@@ -35,6 +36,10 @@ class Cut:
     (merge feasibility) become single integer operations on signatures
     instead of ``set`` constructions; it is derived automatically and never
     needs to be passed explicitly.
+
+    Cuts are values shared by many lists (equality and hash are on
+    ``(leaves, table)``); no field is assigned after construction.  The class
+    is not frozen only because enumeration builds one per kept cut.
     """
 
     leaves: tuple[int, ...]
@@ -46,7 +51,7 @@ class Cut:
             mask = 0
             for leaf in self.leaves:
                 mask |= 1 << leaf
-            object.__setattr__(self, "signature", mask)
+            self.signature = mask
 
     @property
     def size(self) -> int:
@@ -75,65 +80,19 @@ def _expansion(positions: tuple[int, ...], nvars: int) -> tuple[int, ...]:
                  for table in range(1 << (1 << old_nvars)))
 
 
-def _merge_cuts(cut0: Cut, cut1: Cut, comp0: bool, comp1: bool,
-                signature: int) -> Cut:
-    """Merge two fanin cuts into a cut of the AND node.
+def _expand(cut: Cut, leaves: tuple[int, ...]) -> int:
+    """The table of ``cut`` over ``leaves``, a superset of its own leaves.
 
-    ``signature`` is the precomputed union of the two cut signatures; the
-    caller (the enumeration loop) has already used it to reject infeasible
-    pairs, so feasibility is not re-checked here.  A fanin cut that already
-    has every merged leaf keeps its table.  Otherwise a merged cut of at
-    most :data:`_LOOKUP_LEAVES` leaves expands it with one lookup in an
-    :func:`_expansion` row, and a larger one through :func:`tt_expand`.
+    A cut of more than :data:`_LOOKUP_LEAVES` leaves goes through
+    :func:`tt_expand`, a smaller one through one :func:`_expansion` lookup.
     """
-    leaves0 = cut0.leaves
-    leaves1 = cut1.leaves
-    if signature == cut0.signature:
-        leaves = leaves0
-    elif signature == cut1.signature:
-        leaves = leaves1
-    else:
-        leaves = tuple(sorted({*leaves0, *leaves1}))
     nvars = len(leaves)
-    lookup = nvars <= _LOOKUP_LEAVES
-    table0 = cut0.table
-    if len(leaves0) < nvars:
-        positions = tuple(map(leaves.index, leaves0))
-        if lookup:
-            table0 = _expansion(positions, nvars)[table0]
-        else:
-            table0 = tt_expand(table0, positions, len(leaves0), nvars)
-    table1 = cut1.table
-    if len(leaves1) < nvars:
-        positions = tuple(map(leaves.index, leaves1))
-        if lookup:
-            table1 = _expansion(positions, nvars)[table1]
-        else:
-            table1 = tt_expand(table1, positions, len(leaves1), nvars)
-    # Both tables are masked, so only a double complement needs the mask.
-    if comp0:
-        table = ~(table0 | table1) & tt_mask(nvars) if comp1 else table1 & ~table0
-    else:
-        table = table0 & ~table1 if comp1 else table0 & table1
-    return Cut(leaves, table, signature)
-
-
-def _filter_cuts(cuts: list[Cut], max_cuts: int) -> list[Cut]:
-    """Remove dominated cuts and keep at most ``max_cuts`` by size priority."""
-    cuts = sorted(cuts, key=lambda cut: (len(cut.leaves), cut.leaves))
-    kept: list[Cut] = []
-    kept_signatures: list[int] = []
-    for cut in cuts:
-        cut_signature = cut.signature
-        for signature in kept_signatures:
-            if signature & cut_signature == signature:
-                break
-        else:
-            kept.append(cut)
-            kept_signatures.append(cut_signature)
-            if len(kept) >= max_cuts:
-                break
-    return kept
+    if len(cut.leaves) == nvars:
+        return cut.table
+    positions = tuple(map(leaves.index, cut.leaves))
+    if nvars <= _LOOKUP_LEAVES:
+        return _expansion(positions, nvars)[cut.table]
+    return tt_expand(cut.table, positions, len(cut.leaves), nvars)
 
 
 def enumerate_cuts(aig: AIG, k: int = 4, max_cuts: int = 8,
@@ -147,8 +106,15 @@ def enumerate_cuts(aig: AIG, k: int = 4, max_cuts: int = 8,
     node — is stripped from the result for AND nodes).  Constant nodes never
     appear as leaves because the strashed AIG has no AND node with a constant
     fanin.
+
+    An AND node's list is its trivial cut followed by its priority cuts: the
+    feasible merges of one cut per fanin, stably sorted by (size, leaves),
+    minus each merge whose leaves contain those of an earlier kept one, cut
+    off after ``max_cuts - 1`` (but at least one).  Only a kept merge gets a
+    truth table.
     """
     fanin_array = aig.fanin_array
+    by_priority = itemgetter(0, 1)
     all_cuts: dict[int, list[Cut]] = {}
     for var in aig.nodes():
         pair = fanin_array[var]
@@ -160,26 +126,48 @@ def enumerate_cuts(aig: AIG, k: int = 4, max_cuts: int = 8,
         comp0 = lit0 & 1
         comp1 = lit1 & 1
         cuts1 = all_cuts[lit1 >> 1]
-        merged: list[Cut] = []
+        merged = []
         for cut0 in all_cuts[lit0 >> 1]:
             signature0 = cut0.signature
             for cut1 in cuts1:
-                # Feasibility pre-check on signatures: the union popcount is
-                # the merged leaf count, so infeasible pairs are rejected
-                # before any truth-table work happens.
+                # The union popcount is the merged leaf count, so infeasible
+                # pairs are rejected before any leaf or table work.
                 signature = signature0 | cut1.signature
-                if signature.bit_count() > k:
+                size = signature.bit_count()
+                if size > k:
                     continue
-                merged.append(_merge_cuts(cut0, cut1, comp0, comp1, signature))
-        all_cuts[var] = [trivial] + _filter_cuts(merged, max_cuts - 1)
+                if signature == signature0:
+                    leaves = cut0.leaves
+                elif signature == cut1.signature:
+                    leaves = cut1.leaves
+                else:
+                    leaves = tuple(sorted({*cut0.leaves, *cut1.leaves}))
+                merged.append((size, leaves, signature, cut0, cut1))
+        merged.sort(key=by_priority)
+        kept = [trivial]
+        kept_signatures: list[int] = []
+        for size, leaves, signature, cut0, cut1 in merged:
+            for kept_signature in kept_signatures:
+                if kept_signature & signature == kept_signature:
+                    break
+            else:
+                table0 = _expand(cut0, leaves)
+                table1 = _expand(cut1, leaves)
+                # Tables are masked: only a double complement needs the mask.
+                if comp0:
+                    table = (~(table0 | table1) & tt_mask(size) if comp1
+                             else table1 & ~table0)
+                else:
+                    table = table0 & ~table1 if comp1 else table0 & table1
+                kept.append(Cut(leaves, table, signature))
+                kept_signatures.append(signature)
+                if len(kept_signatures) >= max_cuts - 1:
+                    break
+        all_cuts[var] = kept
     if not include_trivial:
-        stripped = {}
         for var, cuts in all_cuts.items():
             if fanin_array[var] is not None:
-                stripped[var] = [cut for cut in cuts if not cut.is_trivial()]
-            else:
-                stripped[var] = cuts
-        return stripped
+                all_cuts[var] = [cut for cut in cuts if not cut.is_trivial()]
     return all_cuts
 
 

@@ -198,7 +198,7 @@ class ReplacementPass:
         return len(self._substitution)
 
     def finalize(self) -> AIG:
-        """Apply all substitutions and return a cleaned-up AIG.
+        """Apply all substitutions and return an AIG without dangling nodes.
 
         The rebuilt graph is constructed demand-driven from the primary
         outputs with an explicit stack, because replacement structures may be
@@ -257,4 +257,8 @@ class ReplacementPass:
             if lit_is_complemented(resolved):
                 mapped = lit_not(mapped)
             rebuilt.add_po(mapped, po_name)
-        return rebuilt.cleanup()
+        # Every node is built on demand for a PO cone, so only a node that
+        # maps to a constant (an AND folded by add_and, or a substitution)
+        # can have stranded a fanin built for it.
+        folded = any(literal < 2 for var, literal in old_to_new.items() if var)
+        return rebuilt.cleanup() if folded else rebuilt

@@ -12,6 +12,7 @@ from repro.benchgen import adder_equivalence_miter, random_cnf
 from repro.cli import build_parser, main
 from repro.cli.main import load_input, parse_recipe, resolve_pipeline, CliError
 from repro.cnf import parse_dimacs, read_dimacs_file, write_dimacs_file
+from repro.runner.cli import main as runner_main
 
 
 @pytest.fixture
@@ -337,6 +338,19 @@ class TestSolveNumbers:
             main(["solve", sat_cnf_file, flag, value])
         assert excinfo.value.code == 2
         assert f"argument {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["-1", "0"])
+    @pytest.mark.parametrize("command", ["runner", "serve"])
+    def test_hard_timeout_must_be_positive(self, command, value, capsys):
+        # A negative budget made every runner task fail in setitimer, and 0
+        # silently disarmed the timer.
+        with pytest.raises(SystemExit) as excinfo:
+            if command == "runner":
+                runner_main(["--hard-timeout", value])
+            else:
+                main(["serve", "--hard-timeout", value])
+        assert excinfo.value.code == 2
+        assert "argument --hard-timeout" in capsys.readouterr().err
 
     def test_boundary_values_are_accepted(self, sat_cnf_file):
         args = build_parser().parse_args([

@@ -3,6 +3,8 @@ perf-regression compare tool."""
 
 import json
 
+import pytest
+
 from repro.perf import default_suite, run_benchmark
 from repro.perf.cli import SCHEMA_VERSION, results_payload
 from repro.perf.compare import compare_payloads, main as compare_main
@@ -18,6 +20,17 @@ class TestNewBenchmarks:
     def test_suite_contains_the_new_benchmarks(self):
         names = {b.name for b in default_suite()}
         assert {"sweep_lec", "sweep_small", "solver_incremental"} <= names
+
+    def test_every_flow_layer_has_a_benchmark(self):
+        names = {b.name for b in default_suite()}
+        assert {"synth_balance", "synth_rewrite", "synth_refactor",
+                "synth_resub", "map_lut", "encode_lut"} <= names
+
+    def test_balance_and_encode_report_their_work(self):
+        balanced = run_benchmark(_benchmark("synth_balance"), repeats=1)
+        assert 0 < balanced.counters["ands_out"] <= balanced.counters["ands_in"]
+        encoded = run_benchmark(_benchmark("encode_lut"), repeats=1)
+        assert encoded.counters["clauses"] > encoded.counters["vars"] > 0
 
     def test_sweep_lec_collapses_and_solves_unsat(self):
         result = run_benchmark(_benchmark("sweep_lec"), repeats=1)
@@ -167,6 +180,14 @@ class TestComparePayloads:
         verdict = compare_payloads(fresh, baseline)
         assert verdict["counter_mismatches"] == []
 
+    def test_missing_benchmarks_and_counters_are_reported(self):
+        baseline = _payload({"a": 0.1, "b": 0.1}, counters={
+            "a": {"conflicts": 5.0, "speedup": 1.5}, "b": {"conflicts": 1.0}})
+        fresh = _payload({"a": 0.1, "c": 0.1}, counters={"a": {}})
+        verdict = compare_payloads(fresh, baseline)
+        assert verdict["missing"] == ["b", "a.conflicts", "a.speedup"]
+        assert verdict["counter_mismatches"] == []
+
 
 class TestCompareCli:
     def _write(self, tmp_path, name, payload):
@@ -206,3 +227,18 @@ class TestCompareCli:
             _payload({"a": 0.1}, counters={"a": {"conflicts": 6.0}}))
         assert compare_main([fresh, baseline]) == 0
         assert compare_main([fresh, baseline, "--strict-counters"]) == 1
+
+    @pytest.mark.parametrize("fresh_payload", [
+        _payload({"a": 0.1}, counters={"a": {"conflicts": 5.0}}),
+        _payload({"a": 0.1, "b": 0.1}, counters={"a": {}, "b": {}}),
+    ], ids=["benchmark", "counter"])
+    def test_strict_counters_fail_on_missing(self, tmp_path, capsys,
+                                             fresh_payload):
+        baseline = self._write(tmp_path, "base.json", _payload(
+            {"a": 0.1, "b": 0.1},
+            counters={"a": {"conflicts": 5.0}, "b": {}}))
+        fresh = self._write(tmp_path, "fresh.json", fresh_payload)
+        assert compare_main([fresh, baseline]) == 0
+        assert "missing from the fresh run" in capsys.readouterr().out
+        assert compare_main([fresh, baseline, "--strict-counters"]) == 1
+        assert "missing from the fresh run" in capsys.readouterr().err

@@ -12,11 +12,13 @@ from repro.logic.sop import factored_to_tt
 from repro.logic.truthtable import tt_mask
 from repro.synthesis import apply_operation
 from repro.synthesis.resynth import (
+    ReplacementPass,
     build_factored,
     count_new_nodes,
     cut_program,
     factored_form,
 )
+from tests.helpers import random_aig
 from tests.synthesis.test_golden import INSTANCES, RECIPES
 
 #: Seeded random truth tables, 12 per input count, constants excluded.
@@ -117,3 +119,34 @@ def test_count_new_nodes_applies_add_and_rules(second):
     predicted = count_new_nodes(aig, program, leaves)
     build_factored(aig, program, leaves)
     assert predicted == aig.num_ands == 0
+
+
+def _has_no_dangling_nodes(aig):
+    clean = aig.cleanup()
+    return (list(aig.fanin_array) == list(clean.fanin_array)
+            and aig.pos == clean.pos and aig.pis == clean.pis)
+
+
+@pytest.mark.parametrize("recipe_name", sorted(RECIPES))
+def test_operator_outputs_equal_their_own_cleanup(instances, recipe_name):
+    """``ReplacementPass.finalize`` builds only what the POs reach."""
+    circuits = [random_aig(num_pis=6, num_nodes=60, seed=seed)
+                for seed in range(12)] + list(instances.values())
+    for aig in circuits:
+        for name in RECIPES[recipe_name]:
+            aig = apply_operation(aig, name)
+            assert _has_no_dangling_nodes(aig), (recipe_name, name)
+
+
+def test_finalize_drops_a_fanin_stranded_by_a_folded_and():
+    aig = AIG()
+    a, b, c = aig.add_pi(), aig.add_pi(), aig.add_pi()
+    x = aig.add_and(a, b)
+    z = aig.add_and(a, c)
+    aig.add_po(aig.add_and(x, z))
+    pass_state = ReplacementPass(aig)
+    pass_state.replace(lit_var(z), x ^ 1)  # the PO's AND becomes x AND NOT x
+    result = pass_state.finalize()
+    assert result.pos == [0]
+    assert result.num_ands == 0
+    assert _has_no_dangling_nodes(result)
