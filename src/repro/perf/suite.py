@@ -40,7 +40,7 @@ from repro.cnf.lut2cnf import lut_netlist_to_cnf
 from repro.cnf.tseitin import tseitin_encode
 from repro.logic.sop import Sop, factor_sop
 from repro.logic.truthtable import tt_mask
-from repro.mapping import branching_cost, map_aig
+from repro.mapping import LutNetlist, branching_cost, map_aig
 from repro.obs import Tracer, read_trace, use_tracer
 from repro.perf.bench import Benchmark
 from repro.sat.configs import SolverConfig, cadical_like, kissat_like
@@ -487,7 +487,7 @@ def _map_batch(aigs: list[AIG]) -> dict[str, float]:
             "cost": sum(result.total_cost for result in results)}
 
 
-def _encode_batch(netlists: list) -> dict[str, float]:
+def _encode_batch(netlists: list[LutNetlist]) -> dict[str, float]:
     """Encode every LUT netlist into CNF, as Ours does after mapping."""
     cnfs = [lut_netlist_to_cnf(netlist) for netlist in netlists]
     return {"vars": sum(cnf.num_vars for cnf in cnfs),
