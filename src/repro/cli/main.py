@@ -889,9 +889,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--mem-limit", type=float, default=None, metavar="MB",
                        help="per-job memory watchdog budget in MB")
     serve.add_argument("--store", default=None, metavar="PATH",
-                       help="result store for cross-request memoization: "
-                            "a directory (sharded; a legacy single file "
-                            "at the path is migrated) or a *.jsonl file")
+                       help="JSONL result store for cross-request "
+                            "memoization: a file, or an existing directory "
+                            "(stored in DIR/results.jsonl)")
     serve.add_argument("--grace", type=float, default=10.0,
                        help="drain budget in seconds for in-flight jobs "
                             "on shutdown (default: 10)")

@@ -162,7 +162,7 @@ def _incremental_setup(num_vars: int, num_queries: int,
 def _server_throughput_batch(workload: list[dict]) -> dict[str, float]:
     """Sustained request throughput of the solve server, measured outside.
 
-    Each repeat boots a fresh in-process server (2 pool workers, sharded
+    Each repeat boots a fresh in-process server (2 pool workers, a JSONL
     store in a temp dir, quotas open) and drives the seeded mixed workload
     through real sockets with the loadgen client.  The store starts cold
     every repeat, so ``dedup_hits`` counts in-run duplicate traffic — the
@@ -171,7 +171,7 @@ def _server_throughput_batch(workload: list[dict]) -> dict[str, float]:
     """
     import asyncio
 
-    from repro.runner.store import ShardedResultStore
+    from repro.runner.store import ResultStore
     from repro.server.http import HttpServer
     from repro.server.loadgen import run_load
     from repro.server.service import SolveService
@@ -183,7 +183,7 @@ def _server_throughput_batch(workload: list[dict]) -> dict[str, float]:
             service = SolveService(
                 jobs=2, max_queue=max(64, len(workload)),
                 quota_rate=100_000.0, quota_burst=100_000.0,
-                store=ShardedResultStore(os.path.join(tmp, "store")))
+                store=ResultStore(os.path.join(tmp, "store.jsonl")))
             await service.start()
             http = HttpServer(service)
             await http.start()
@@ -675,7 +675,7 @@ def default_suite(quick: bool = False) -> list[Benchmark]:
                          f"{server_requests} mixed solve/preprocess/sweep "
                          f"requests (35% duplicates) through the asyncio "
                          f"HTTP server onto a 2-worker pool with a cold "
-                         f"sharded store; counters record req/s, p50/p99 "
+                         f"JSONL store; counters record req/s, p50/p99 "
                          f"latency and dedup hits"),
             setup=lambda: build_workload(server_requests, seed=5),
             run=_server_throughput_batch,

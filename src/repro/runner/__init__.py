@@ -15,7 +15,6 @@ cell) and hand them to a :class:`BatchRunner`, which
 from repro.runner.batch import BatchReport, BatchRunner, execute_task
 from repro.runner.store import (
     ResultStore,
-    ShardedResultStore,
     canonical_record,
     open_store,
     record_to_run,
@@ -34,7 +33,6 @@ __all__ = [
     "default_hard_timeout",
     "resolve_pipeline_kwargs",
     "ResultStore",
-    "ShardedResultStore",
     "open_store",
     "run_to_record",
     "record_to_run",

@@ -27,7 +27,7 @@ from repro.errors import BackendError
 from repro.obs import Tracer, configure_logging, use_tracer, verbosity_level
 from repro.resilience import RetryPolicy, Supervisor
 from repro.runner.batch import BatchRunner
-from repro.runner.store import ResultStore
+from repro.runner.store import open_store
 from repro.runner.task import Task
 from repro.sat.backends import (
     BACKEND_NAMES,
@@ -96,7 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "ends as a MEMOUT run instead of invoking the "
                              "OOM killer")
     parser.add_argument("--store", type=Path, default=None,
-                        help="JSONL result store path (default: "
+                        help="JSONL result store: a file, or an existing "
+                             "directory (stored in DIR/results.jsonl; default: "
                              "results/<suite>_size<N>_seed<S>_<solver>.jsonl)")
     parser.add_argument("--lut-size", type=int, default=None,
                         help="LUT size forwarded to the Comp./Ours mappers")
@@ -158,14 +159,14 @@ def main(argv: list[str] | None = None) -> int:
             suffix += f"_cube{backend_kwargs['cube_depth']}"
         store_path = Path("results") / (
             f"{args.suite}_size{args.size}_seed{seed}_{args.solver}{suffix}.jsonl")
-    store = ResultStore(store_path)
+    store = open_store(store_path)
 
     tasks = build_tasks(instances, args.pipelines, config, time_limit,
                         args.hard_timeout, lut_size=args.lut_size,
                         backend=backend, backend_kwargs=backend_kwargs)
     print(f"Suite {args.suite!r}: {len(instances)} instances x "
           f"{len(args.pipelines)} pipelines = {len(tasks)} tasks "
-          f"({args.jobs} jobs, store {store_path})")
+          f"({args.jobs} jobs, store {store.path})")
 
     supervisor = None
     if args.retries is not None:
@@ -193,7 +194,7 @@ def main(argv: list[str] | None = None) -> int:
     print()
     print(comparison.summary_text())
     print()
-    print(f"Result store: {store_path} ({report.cache_summary()})")
+    print(f"Result store: {store.path} ({report.cache_summary()})")
     if supervisor is not None and (supervisor.retries_granted
                                    or supervisor.gave_up):
         print(f"Resilience: {supervisor.retries_granted} retries granted, "

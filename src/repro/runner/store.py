@@ -23,17 +23,10 @@ The store is hardened for concurrent writers and crashes:
 * unusable fragments are quarantined to a ``.corrupt`` sidecar file next to
   the store instead of being silently forgotten, so data loss is visible
   and diagnosable after the fact.
-
-:class:`ShardedResultStore` spreads the same format over per-fingerprint-
-prefix shard files inside a directory, so many concurrent writers contend
-on ``1/16`` of the keyspace each and no single JSONL file grows without
-bound; a legacy single-file store found at the directory path is migrated
-in place on first open.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 import os
@@ -274,126 +267,26 @@ class ResultStore:
         return [record_to_run(record) for record in self._records.values()]
 
 
-class ShardedResultStore:
-    """A directory of :class:`ResultStore` shards keyed by fingerprint prefix.
+def open_store(path: str | Path, durable: bool = False) -> ResultStore:
+    """Open the result store at ``path``.
 
-    Fingerprints are hex digests, so the first ``prefix_len`` characters
-    spread records uniformly over ``16**prefix_len`` shard files
-    (``shard-0.jsonl`` … ``shard-f.jsonl`` by default).  Each shard is a
-    plain :class:`ResultStore`: flock'd single-write appends, torn-line
-    recovery, and a per-shard ``.corrupt`` quarantine sidecar all carry
-    over unchanged — concurrent writers simply contend on a sixteenth of
-    the keyspace instead of one file.
-
-    Opening a path that holds a **legacy single-file store** migrates it:
-    the old file is parsed (salvaging what its recovery logic can), moved
-    aside to ``<path>.legacy``, and its records are re-appended into the
-    new shard files, so existing caches keep hitting.
-    """
-
-    def __init__(self, root: str | Path, durable: bool = False,
-                 prefix_len: int = 1) -> None:
-        if prefix_len < 1:
-            raise ValueError("prefix_len must be >= 1")
-        self.root = Path(root)
-        self.durable = durable
-        self.prefix_len = prefix_len
-        self._shards: dict[str, ResultStore] = {}
-        legacy: ResultStore | None = None
-        if self.root.is_file():
-            legacy = self._migrate_legacy()
-        self.root.mkdir(parents=True, exist_ok=True)
-        for path in sorted(self.root.glob("shard-*.jsonl")):
-            self._shards[path.stem.partition("-")[2]] = ResultStore(
-                path, durable=durable)
-        if legacy is not None:
-            for fingerprint, record in legacy._records.items():
-                self._shard_for(fingerprint).put_record(fingerprint, record)
-
-    def _migrate_legacy(self) -> ResultStore:
-        """Load the single-file store at :attr:`root` and move it aside."""
-        legacy = ResultStore(self.root, durable=self.durable)
-        backup = self.root.with_name(self.root.name + ".legacy")
-        self.root.rename(backup)
-        if legacy.quarantine_path.exists():
-            legacy.quarantine_path.rename(
-                backup.with_name(backup.name + ".corrupt"))
-        logger.info("migrated legacy store %s -> %s (%d records)",
-                    self.root, backup, len(legacy))
-        return legacy
-
-    def _shard_key(self, fingerprint: str) -> str:
-        key = fingerprint[:self.prefix_len].lower()
-        # Fingerprints are sha256 hex in practice; anything else (tests,
-        # future keys) is folded onto the same hex keyspace.
-        if not key or any(ch not in "0123456789abcdef" for ch in key):
-            key = hashlib.sha256(
-                fingerprint.encode("utf-8")).hexdigest()[:self.prefix_len]
-        return key
-
-    def _shard_for(self, fingerprint: str) -> ResultStore:
-        key = self._shard_key(fingerprint)
-        shard = self._shards.get(key)
-        if shard is None:
-            shard = ResultStore(self.root / f"shard-{key}.jsonl",
-                                durable=self.durable)
-            self._shards[key] = shard
-        return shard
-
-    @property
-    def shard_paths(self) -> list[Path]:
-        """Paths of every shard file seen so far, sorted."""
-        return sorted(shard.path for shard in self._shards.values())
-
-    def __len__(self) -> int:
-        return sum(len(shard) for shard in self._shards.values())
-
-    def __contains__(self, fingerprint: str) -> bool:
-        return fingerprint in self._shard_for(fingerprint)
-
-    @property
-    def skipped_lines(self) -> int:
-        """Corrupt / incompatible lines ignored while loading, all shards."""
-        return sum(s.skipped_lines for s in self._shards.values())
-
-    @property
-    def quarantined(self) -> int:
-        """Corrupt fragments quarantined while loading, all shards."""
-        return sum(s.quarantined for s in self._shards.values())
-
-    def get_record(self, fingerprint: str) -> dict | None:
-        return self._shard_for(fingerprint).get_record(fingerprint)
-
-    def get(self, fingerprint: str) -> InstanceRun | None:
-        return self._shard_for(fingerprint).get(fingerprint)
-
-    def put(self, fingerprint: str, run: InstanceRun,
-            seed: int | None = None) -> dict:
-        return self._shard_for(fingerprint).put(fingerprint, run, seed=seed)
-
-    def put_record(self, fingerprint: str, record: dict) -> dict:
-        return self._shard_for(fingerprint).put_record(fingerprint, record)
-
-    def runs(self) -> list[InstanceRun]:
-        """All stored runs: shard order (sorted), then file order."""
-        out: list[InstanceRun] = []
-        for key in sorted(self._shards):
-            out.extend(self._shards[key].runs())
-        return out
-
-
-def open_store(path: str | Path,
-               durable: bool = False) -> ResultStore | ShardedResultStore:
-    """Open ``path`` as whichever store flavour it holds.
-
-    An existing directory — or a fresh path with no ``.jsonl`` suffix —
-    opens sharded (a legacy single *file* at the path migrates, see
-    :class:`ShardedResultStore`); an existing file or a ``*.jsonl`` path
-    opens as a classic single-file :class:`ResultStore`.
+    An existing directory holds its store in ``<dir>/results.jsonl``; any
+    other path is the store file itself.  A directory still holding the
+    ``shard-*.jsonl`` files of the older sharded layout is migrated on open:
+    every record each shard loads (with the usual torn-line recovery and
+    ``.corrupt`` quarantine) is appended to ``results.jsonl`` first, and
+    only then is the shard renamed to ``shard-*.jsonl.migrated``, so an
+    interrupted migration loses nothing and the next open finishes it.
     """
     path = Path(path)
-    if path.is_dir():
-        return ShardedResultStore(path, durable=durable)
-    if path.suffix == ".jsonl" and not path.is_dir():
+    if not path.is_dir():
         return ResultStore(path, durable=durable)
-    return ShardedResultStore(path, durable=durable)
+    store = ResultStore(path / "results.jsonl", durable=durable)
+    for shard_path in sorted(path.glob("shard-*.jsonl")):
+        shard = ResultStore(shard_path)
+        for fingerprint, record in shard._records.items():
+            if fingerprint not in store:
+                store.put_record(fingerprint, record)
+        shard_path.rename(shard_path.with_name(shard_path.name + ".migrated"))
+        logger.info("migrated shard %s (%d records)", shard_path, len(shard))
+    return store

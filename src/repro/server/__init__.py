@@ -10,7 +10,7 @@ streams status and results.  Layering, bottom up:
   adapter over the batch runner's guarded executor;
 * :mod:`repro.server.service` — admission control (quotas, bounded
   queue, load-shedding ladder), fingerprint dedup/memoization against a
-  (sharded) result store, worker dispatch and supervision, graceful
+  JSONL result store, worker dispatch and supervision, graceful
   drain;
 * :mod:`repro.server.http` — the HTTP/1.1 transport (submit /
   poll / long-poll / fetch, ``/healthz``, ``/metricsz``);

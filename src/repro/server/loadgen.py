@@ -331,14 +331,14 @@ async def _run_spawned(workload: list[dict], jobs: int,
     """Spawn an in-process server, drive it, drain it."""
     import tempfile
 
-    from repro.runner.store import ShardedResultStore
+    from repro.runner.store import ResultStore
     from repro.server.http import HttpServer
     from repro.server.service import SolveService
 
     with tempfile.TemporaryDirectory(prefix="repro-loadgen-") as tmp:
         service = SolveService(jobs=jobs, max_queue=max(64, len(workload)),
                                quota_rate=10_000.0, quota_burst=10_000.0,
-                               store=ShardedResultStore(f"{tmp}/store"))
+                               store=ResultStore(f"{tmp}/store.jsonl"))
         await service.start()
         http = HttpServer(service)
         await http.start()

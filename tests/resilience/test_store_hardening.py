@@ -1,12 +1,16 @@
 """Crash/corruption hardening tests for the JSONL result store."""
 
 import json
+import multiprocessing
+import os
+import signal
+import time
 
 import pytest
 
 from repro.core.results import InstanceRun
 from repro.resilience.chaos import use_chaos
-from repro.runner.store import ResultStore, run_to_record
+from repro.runner.store import ResultStore, StoreError, open_store, run_to_record
 from repro.runner.task import SCHEMA_VERSION
 from repro.sat.stats import SolverStats
 
@@ -20,6 +24,11 @@ def make_run(name="inst", status="SAT"):
 def record_line(fingerprint, name="inst"):
     record = run_to_record(make_run(name), fingerprint)
     return json.dumps(record, sort_keys=True)
+
+
+def generic_record(fingerprint):
+    return {"schema": SCHEMA_VERSION, "task": fingerprint,
+            "server": 1, "result": {"status": "SAT"}}
 
 
 class TestCorruptionRecovery:
@@ -95,6 +104,98 @@ class TestConcurrentWriters:
         ResultStore(path, durable=True).put("aaa", make_run())
         assert "aaa" in ResultStore(path)
 
+    def test_generic_records_round_trip(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        ResultStore(path).put_record("cafe" + "0" * 60,
+                                     generic_record("cafe" + "0" * 60))
+        again = ResultStore(path)
+        assert again.get_record("cafe" + "0" * 60)["server"] == 1
+
+    def test_put_record_requires_loadable_shape(self, tmp_path):
+        store = ResultStore(tmp_path / "store.jsonl")
+        with pytest.raises(StoreError):
+            store.put_record("ab", {"result": {}})  # no schema/task keys
+
+
+def _hammer(path, worker, count, barrier):
+    """Append ``count`` records as fast as possible (concurrency victim)."""
+    store = ResultStore(path)
+    barrier.wait(timeout=30)
+    for index in range(count):
+        fp = f"{(worker * count + index) % 16:x}" \
+             + f"{worker:02d}{index:04d}".ljust(63, "e")[:63]
+        store.put_record(fp, {"schema": SCHEMA_VERSION, "task": fp,
+                              "server": 1,
+                              "result": {"status": "SAT", "w": worker,
+                                         "i": index}})
+
+
+class TestTornAppends:
+    def test_concurrent_writers_never_interleave(self, tmp_path):
+        """Many processes, one file, zero torn records."""
+        path = tmp_path / "store.jsonl"
+        ctx = multiprocessing.get_context("fork")
+        barrier = ctx.Barrier(4)
+        workers = [ctx.Process(target=_hammer,
+                               args=(path, w, 40, barrier))
+                   for w in range(4)]
+        for proc in workers:
+            proc.start()
+        for proc in workers:
+            proc.join(60)
+            assert proc.exitcode == 0
+        store = ResultStore(path)
+        assert len(store) == 4 * 40
+        assert store.skipped_lines == 0
+        assert store.quarantined == 0
+
+    def test_crash_mid_append_leaves_no_torn_line(self, tmp_path):
+        """Kill writers at arbitrary instants: every line whole or absent.
+
+        The append is a single ``os.write`` on an ``O_APPEND`` fd, so a
+        SIGKILL 'between write and flush' cannot exist — there is no
+        user-space buffer to lose.  This test SIGKILLs busy writers at
+        random points and proves the survivors load clean.
+        """
+        path = tmp_path / "store.jsonl"
+        ctx = multiprocessing.get_context("fork")
+        # Three writers plus this test wait on the barrier.
+        barrier = ctx.Barrier(4)
+        workers = [ctx.Process(target=_hammer,
+                               args=(path, w, 10_000, barrier))
+                   for w in range(3)]
+        for proc in workers:
+            proc.start()
+        barrier.wait(timeout=30)  # writers are mid-hammer right now
+        time.sleep(0.05)
+        for proc in workers:
+            os.kill(proc.pid, signal.SIGKILL)
+        for proc in workers:
+            proc.join(30)
+        store = ResultStore(path)
+        assert store.skipped_lines == 0
+        assert store.quarantined == 0
+        assert len(store) > 0  # they did get some records down first
+        for line in path.read_text().splitlines():
+            json.loads(line)  # every surviving line parses whole
+
+    def test_torn_store_recovers_and_quarantines(self, tmp_path):
+        """A pre-existing torn line is skipped and quarantined, and the
+        store keeps accepting appends."""
+        path = tmp_path / "store.jsonl"
+        store = ResultStore(path)
+        fp = "a" + "b" * 63
+        store.put_record(fp, generic_record(fp))
+        with path.open("a") as handle:
+            handle.write('{"schema": 1, "task": "trunc')  # torn, no newline
+        reloaded = ResultStore(path)
+        assert reloaded.skipped_lines == 1
+        assert reloaded.quarantined == 1
+        assert reloaded.quarantine_path.exists()
+        assert reloaded.get_record(fp) is not None
+        reloaded.put_record("a" + "c" * 63, generic_record("a" + "c" * 63))
+        assert len(ResultStore(path)) == 2
+
 
 class TestChaosInjection:
     def test_injected_append_failure_raises_before_writing(self, tmp_path):
@@ -110,3 +211,60 @@ class TestChaosInjection:
     def test_schema_guard(self):
         record = run_to_record(make_run(), "fp")
         assert record["schema"] == SCHEMA_VERSION
+
+
+def _write_shard_dir(root, torn=False):
+    """A store directory in the older sharded layout: one record per
+    ``shard-<hex>.jsonl`` file, keyed by the fingerprint's first digit."""
+    root.mkdir()
+    fingerprints = [f"{digit:x}{'0' * 63}" for digit in range(16)]
+    for fp in fingerprints:
+        with (root / f"shard-{fp[0]}.jsonl").open("a") as handle:
+            handle.write(record_line(fp, name=fp[:4]) + "\n")
+    if torn:
+        with (root / "shard-3.jsonl").open("a") as handle:
+            handle.write('{"schema": 1, "task": "trunc')  # torn, no newline
+    return fingerprints
+
+
+class TestOpenStore:
+    def test_path_rule(self, tmp_path):
+        assert open_store(tmp_path / "flat.jsonl").path \
+            == tmp_path / "flat.jsonl"
+        assert open_store(tmp_path / "cache").path == tmp_path / "cache"
+        (tmp_path / "dir").mkdir()
+        assert open_store(tmp_path / "dir").path \
+            == tmp_path / "dir" / "results.jsonl"
+
+    def test_shard_directory_migrates_once(self, tmp_path):
+        root = tmp_path / "store"
+        fingerprints = _write_shard_dir(root, torn=True)
+        store = open_store(root)
+        assert len(store) == 16
+        for fp in fingerprints:
+            assert store.get(fp).instance_name == fp[:4]
+        assert "trunc" in (root / "shard-3.jsonl.corrupt").read_text()
+        assert not list(root.glob("shard-*.jsonl"))
+        assert len(list(root.glob("shard-*.jsonl.migrated"))) == 16
+        lines = (root / "results.jsonl").read_text().splitlines()
+        assert len(lines) == 16
+        again = open_store(root)
+        assert len(again) == 16
+        assert again.skipped_lines == 0
+        assert (root / "results.jsonl").read_text().splitlines() == lines
+
+    def test_interrupted_migration_finishes_on_next_open(self, tmp_path):
+        """Shards still in place after ``results.jsonl`` was written, as if
+        the process died before the renames: nothing is lost or doubled."""
+        root = tmp_path / "store"
+        fingerprints = _write_shard_dir(root)
+        first = ResultStore(root / "results.jsonl")
+        for fp in fingerprints:
+            first.put(fp, make_run(name=fp[:4]))
+        store = open_store(root)
+        assert len(store) == 16
+        for fp in fingerprints:
+            assert store.get(fp).instance_name == fp[:4]
+        assert not list(root.glob("shard-*.jsonl"))
+        assert len((root / "results.jsonl").read_text().splitlines()) == 16
+        assert len(open_store(root)) == 16

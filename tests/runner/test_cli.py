@@ -51,6 +51,19 @@ class TestMain:
         assert "runtime comparison" in out
         assert "0 cache hits" in out
 
+    def test_existing_directory_store_holds_results_jsonl(self, tmp_path,
+                                                          capsys):
+        store_dir = tmp_path / "store"
+        store_dir.mkdir()
+        code = main(["--suite", "training", "--size", "2",
+                     "--pipelines", "Baseline", "--time-limit", "15",
+                     "--store", str(store_dir)])
+        assert code == 0
+        path = store_dir / "results.jsonl"
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        assert len(records) == 2
+        assert f"Result store: {path}" in capsys.readouterr().out
+
     def test_second_invocation_is_fully_cached(self, tmp_path, capsys):
         self.run_cli(tmp_path, capsys)
         store, out = self.run_cli(tmp_path, capsys)

@@ -12,7 +12,7 @@ import asyncio
 import pytest
 
 from repro.resilience.chaos import ChaosSpec, use_chaos
-from repro.runner.store import ShardedResultStore
+from repro.runner.store import ResultStore
 from repro.server.http import HttpServer
 from repro.server.jobs import execute_job, parse_job
 from repro.server.loadgen import build_workload, run_load
@@ -109,7 +109,7 @@ def test_sustained_mixed_load_acceptance(tmp_path, monkeypatch):
             jobs=1,  # one worker: each kill hits only the matching task
             max_queue=max(64, len(workload)), quota_rate=10_000.0,
             quota_burst=10_000.0,
-            store=ShardedResultStore(tmp_path / "store"))
+            store=ResultStore(tmp_path / "store.jsonl"))
         await service.start()
         http = HttpServer(service, port=0)
         await http.start()

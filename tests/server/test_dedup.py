@@ -3,7 +3,7 @@
 import asyncio
 import json
 
-from repro.runner.store import ShardedResultStore
+from repro.runner.store import ResultStore
 from repro.server.http import HttpServer
 from repro.server.jobs import parse_job
 from repro.server.service import SolveService
@@ -98,7 +98,7 @@ def test_concurrent_http_submissions_share_one_execution():
 def test_memo_hit_marks_job_cached(tmp_path):
     async def main():
         service = SolveService(jobs=1, quota_burst=100,
-                               store=ShardedResultStore(tmp_path / "s"))
+                               store=ResultStore(tmp_path / "s.jsonl"))
 
         async def body():
             job, _ = service.submit(_spec())
@@ -115,7 +115,7 @@ def test_memo_hit_marks_job_cached(tmp_path):
 
 
 def test_proof_requests_bypass_the_cache_in_both_directions(tmp_path):
-    store = ShardedResultStore(tmp_path / "store")
+    store = ResultStore(tmp_path / "store.jsonl")
 
     async def main():
         service = SolveService(jobs=1, quota_burst=100, store=store)
@@ -146,7 +146,7 @@ def test_proof_requests_bypass_the_cache_in_both_directions(tmp_path):
 
     async def second():
         service = SolveService(jobs=1, quota_burst=100,
-                               store=ShardedResultStore(tmp_path / "empty"))
+                               store=ResultStore(tmp_path / "empty.jsonl"))
 
         async def body():
             # A proof-first service never seeds the cache either.

@@ -391,7 +391,7 @@ def test_disconnect_during_wait_keeps_the_job_and_the_server(tmp_path):
     from repro.runner.store import open_store
 
     async def run():
-        store = open_store(tmp_path / "store")
+        store = open_store(tmp_path / "store.jsonl")
         service = SolveService(jobs=1, quota_burst=100, store=store)
         http = HttpServer(service, port=0)
         await http.start()

@@ -9,7 +9,7 @@ from repro.benchgen import (adder_equivalence_miter, pigeonhole_cnf,
                             random_aig, random_cnf)
 from repro.cnf import write_dimacs
 from repro.resilience.chaos import ChaosSpec, use_chaos
-from repro.runner.store import ShardedResultStore
+from repro.runner.store import ResultStore
 from repro.runner.task import Task
 from repro.sat.configs import CONFIG_PRESETS
 from repro.server.jobs import BadRequest, execute_job, parse_job, sniff_format
@@ -181,7 +181,7 @@ class TestFingerprint:
     def test_second_of_each_pair_is_served_cached(self, tmp_path):
         async def main():
             service = SolveService(jobs=1,
-                                   store=ShardedResultStore(tmp_path / "m"))
+                                   store=ResultStore(tmp_path / "m.jsonl"))
             await service.start()
             try:
                 outcomes = []

@@ -14,7 +14,7 @@ import pytest
 from repro.cnf import write_dimacs
 from repro.benchgen import random_cnf
 from repro.resilience.chaos import ChaosSpec, use_chaos
-from repro.runner.store import ShardedResultStore, StoreError
+from repro.runner.store import ResultStore, StoreError, open_store
 from repro.server.jobs import parse_job
 from repro.server.service import (
     _MAX_BUCKETS,
@@ -175,7 +175,7 @@ class TestAdmission:
 
 class TestExecution:
     def test_submit_executes_and_memoizes(self, tmp_path):
-        store = ShardedResultStore(tmp_path / "store")
+        store = ResultStore(tmp_path / "store.jsonl")
 
         async def main():
             service = SolveService(jobs=1, store=store, quota_burst=100)
@@ -211,6 +211,41 @@ class TestExecution:
             await _serve(service, body)
 
         asyncio.run(second_life())
+
+    def test_sharded_store_directory_keeps_hitting(self, tmp_path):
+        """A memo written in the older ``shard-<hex>.jsonl`` directory
+        layout answers the same job as cached after ``open_store``."""
+        first = ResultStore(tmp_path / "first.jsonl")
+
+        async def first_life():
+            service = SolveService(jobs=1, store=first, quota_burst=100)
+
+            async def body():
+                job, _ = service.submit(_spec(22))
+                await _finish(job)
+                return job.fingerprint
+
+            return await _serve(service, body)
+
+        fingerprint = asyncio.run(first_life())
+        root = tmp_path / "store"
+        root.mkdir()
+        (root / f"shard-{fingerprint[0]}.jsonl").write_text(
+            first.path.read_text())
+
+        async def second_life():
+            service = SolveService(jobs=1, store=open_store(root),
+                                   quota_burst=100)
+
+            async def body():
+                job, outcome = service.submit(_spec(22))
+                assert outcome == "cached"
+                assert job.terminal
+
+            await _serve(service, body)
+
+        asyncio.run(second_life())
+        assert (root / "results.jsonl").exists()
 
     def test_latency_splits_into_queue_wait_execute_and_persist(self):
         clock = FakeClock()
