@@ -46,13 +46,11 @@ def rewrite(aig: AIG) -> AIG:
         for cut in cuts[var]:
             if cut.size < 2 or cut.leaves == (var,):
                 continue
-            nvars = cut.size
-            table = cut.table & tt_mask(nvars)
             # Skip cuts whose function degenerates to a single leaf/constant:
             # those are handled by constant propagation, not rewriting.
-            if table in (0, tt_mask(nvars)):
+            if cut.table in (0, tt_mask(cut.size)):
                 continue
-            program = cut_program(table, nvars)
+            program = cut_program(cut.table, cut.size)
             leaf_literals = [pass_state.resolve(leaf * 2) for leaf in cut.leaves]
             added = count_new_nodes(aig, program, leaf_literals)
             freed = cut_cone_gain(aig, var, cut.leaves, fanout_counts)

@@ -13,7 +13,14 @@ from repro.benchgen import (
     random_alu,
 )
 from repro.errors import AigError
-from repro.logic.truthtable import tt_and, tt_eval, tt_not, tt_var, tt_xor
+from repro.logic.truthtable import (
+    tt_and,
+    tt_eval,
+    tt_mask,
+    tt_not,
+    tt_var,
+    tt_xor,
+)
 from repro.synthesis import cuts as cuts_module
 from repro.synthesis.cuts import (
     cone_nodes,
@@ -272,6 +279,8 @@ class TestKernelOracles:
         sizes = set()
         for var in family_aig.and_vars():
             for cut in cuts[var]:
+                # Tables come back masked; ``rewrite`` relies on it.
+                assert cut.table & ~tt_mask(cut.size) == 0, (var, cut.leaves)
                 if cut.leaves == (var,):
                     continue
                 sizes.add(cut.size)
