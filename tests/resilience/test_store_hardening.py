@@ -111,6 +111,12 @@ class TestConcurrentWriters:
         again = ResultStore(path)
         assert again.get_record("cafe" + "0" * 60)["server"] == 1
 
+    def test_non_hex_fingerprint_round_trips(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        ResultStore(path).put_record("Zebra", generic_record("Zebra"))
+        assert ResultStore(path).get_record("Zebra")["result"] \
+            == {"status": "SAT"}
+
     def test_put_record_requires_loadable_shape(self, tmp_path):
         store = ResultStore(tmp_path / "store.jsonl")
         with pytest.raises(StoreError):
@@ -235,6 +241,20 @@ class TestOpenStore:
         (tmp_path / "dir").mkdir()
         assert open_store(tmp_path / "dir").path \
             == tmp_path / "dir" / "results.jsonl"
+
+    def test_existing_file_opens_in_place(self, tmp_path):
+        """A single-file store at a path without a ``.jsonl`` suffix is
+        opened as that file, records intact, and is never turned into a
+        directory."""
+        path = tmp_path / "cache"
+        ResultStore(path).put("d" * 64, make_run(name="kept"))
+        store = open_store(path, durable=True)
+        assert store.path == path and store.durable
+        assert store.get("d" * 64).instance_name == "kept"
+        store.put("e" * 64, make_run(name="added"))
+        assert path.is_file()
+        assert not list(tmp_path.glob("cache.*"))
+        assert len(open_store(path)) == 2
 
     def test_shard_directory_migrates_once(self, tmp_path):
         root = tmp_path / "store"
