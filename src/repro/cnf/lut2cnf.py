@@ -12,15 +12,16 @@ function ``f`` over fanins ``x1..xk`` and output ``y`` contributes:
 The number of clauses contributed by a LUT therefore equals its *branching
 complexity* (:func:`repro.mapping.cost.branching_complexity`), which is the
 formal link between the cost-customised mapper and the size/behaviour of the
-final CNF.
+final CNF.  Both read the same cached per-function clauses,
+:func:`repro.logic.isop.clause_template`, which the encoder instantiates over
+each LUT's variables.
 """
 
 from __future__ import annotations
 
 from repro.cnf.cnf import Cnf
 from repro.errors import CnfError
-from repro.logic.isop import isop
-from repro.logic.truthtable import tt_mask
+from repro.logic.isop import clause_template
 from repro.mapping.lut import LutNetlist
 
 
@@ -39,26 +40,14 @@ def lut_netlist_to_cnf(netlist: LutNetlist, output_mode: str = "any") -> Cnf:
     for pi in netlist.pis:
         var_map[pi] = cnf.new_var()
 
+    clauses = cnf.clauses  # every literal below is an allocated variable
     for node in netlist.luts():
         output = cnf.new_var()
         var_map[node.node_id] = output
-        nvars = node.num_inputs
-        table = node.table & tt_mask(nvars)
-        if nvars == 0:
-            cnf.add_clause([output if table & 1 else -output])
-            continue
-        fanin_vars = [var_map[fanin] for fanin in node.inputs]
-        onset_cubes = isop(table, table, nvars)
-        offset_table = ~table & tt_mask(nvars)
-        offset_cubes = isop(offset_table, offset_table, nvars)
-        for cube in onset_cubes:
-            clause = _cube_to_clause(cube, fanin_vars)
-            clause.append(output)
-            cnf.add_clause(clause)
-        for cube in offset_cubes:
-            clause = _cube_to_clause(cube, fanin_vars)
-            clause.append(-output)
-            cnf.add_clause(clause)
+        slots = [0, *[var_map[fanin] for fanin in node.inputs], output]
+        for template in clause_template(node.table, node.num_inputs):
+            clauses.append([slots[code] if code > 0 else -slots[-code]
+                            for code in template])
 
     if output_mode != "none" and netlist.pos:
         po_literals = []
@@ -74,13 +63,3 @@ def lut_netlist_to_cnf(netlist: LutNetlist, output_mode: str = "any") -> Cnf:
     cnf.var_map = var_map
     return cnf
 
-
-def _cube_to_clause(cube, fanin_vars: list[int]) -> list[int]:
-    """Return the clause literals of the *negated* cube over CNF variables."""
-    clause = []
-    for var_index, negated in cube.literals():
-        cnf_var = fanin_vars[var_index]
-        # The cube literal is (x if not negated else !x); its negation in the
-        # clause is (!x if not negated else x).
-        clause.append(-cnf_var if not negated else cnf_var)
-    return clause

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.aig.aig import AIG
 from repro.cnf.cnf import Cnf
@@ -82,7 +82,8 @@ class Preprocessor:
     recipe: list[str] | None = None
     sweep: bool = False
     sweep_kwargs: dict | None = None
-    embedder: DeepGateEmbedder = field(default_factory=lambda: DeepGateEmbedder(dim=64))
+    #: The agent's graph embedder, built on the first agent-driven run.
+    embedder: DeepGateEmbedder | None = None
 
     def preprocess(self, aig: AIG) -> PreprocessResult:
         """Run the full preprocessing pipeline on ``aig``."""
@@ -130,6 +131,8 @@ class Preprocessor:
             from repro.rl.env import SynthesisEnv
             from repro.rl.train import agent_recipe
 
+            if self.embedder is None:
+                self.embedder = DeepGateEmbedder(dim=64)
             env = SynthesisEnv(max_steps=self.max_steps, lut_size=self.lut_size,
                                embedder=self.embedder)
             return agent_recipe(self.agent, env, aig, max_steps=self.max_steps)

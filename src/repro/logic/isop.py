@@ -9,12 +9,14 @@ Cubes are returned as :class:`Cube` objects carrying two bit masks: one for
 positive literals and one for negative literals.  The cover of the complement
 is obtained by calling :func:`isop` on the complemented bounds; the sum of the
 two cover sizes is the *branching complexity* used by the cost-customized LUT
-mapper (see :mod:`repro.mapping.cost`).
+mapper (see :mod:`repro.mapping.cost`).  :func:`clause_template` turns the two
+covers into the clauses of a LUT, shared by that cost and the LUT encoder.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from repro.errors import TruthTableError
 from repro.logic.truthtable import (
@@ -108,6 +110,28 @@ def isop(lower: TruthTable, upper: TruthTable, nvars: int) -> list[Cube]:
 def isop_cube_count(function: TruthTable, nvars: int) -> int:
     """Return the number of cubes in the ISOP cover of ``function``."""
     return len(isop(function, function, nvars))
+
+
+@lru_cache(maxsize=1 << 16)
+def clause_template(table: TruthTable, nvars: int) -> tuple[tuple[int, ...], ...]:
+    """Return the CNF clauses of a LUT ``y = f(x_0, ..., x_{nvars-1})``.
+
+    A literal is a signed position: input ``x_i`` is ``i + 1``, the output
+    ``y`` is ``nvars + 1``, negative when complemented.  Every cube ``c`` of
+    ``ISOP(f)`` gives the clause ``(!c | y)``, then every cube of
+    ``ISOP(!f)`` gives ``(!c | !y)``, each cube's literals in ascending
+    variable order.  The clause count is the LUT's branching complexity.
+    """
+    mask = tt_mask(nvars)
+    table &= mask
+    clauses = []
+    for function, output in ((table, nvars + 1), (~table & mask, -nvars - 1)):
+        for cube in isop(function, function, nvars):
+            clause = [var + 1 if negated else -var - 1
+                      for var, negated in cube.literals()]
+            clause.append(output)
+            clauses.append(tuple(clause))
+    return tuple(clauses)
 
 
 def _isop_rec(lower: TruthTable, upper: TruthTable, top_var: int,

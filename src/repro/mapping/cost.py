@@ -12,25 +12,18 @@ encoder emits for that LUT, which is why minimising it tracks solver effort.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
-from repro.logic.isop import isop
-from repro.logic.truthtable import tt_mask
+from repro.logic.isop import clause_template
 
 
-@lru_cache(maxsize=1 << 18)
 def branching_complexity(table: int, nvars: int) -> int:
     """Return the branching complexity of a LUT function.
 
     The value is ``|ISOP(f)| + |ISOP(!f)|``: the number of fanin cubes that
-    justify output 1 plus the number that justify output 0.  Constant
+    justify output 1 plus the number that justify output 0, which is the
+    length of the LUT's :func:`~repro.logic.isop.clause_template`.  Constant
     functions have complexity 1 (a single trivial "branch").
     """
-    table &= tt_mask(nvars)
-    onset = len(isop(table, table, nvars))
-    complement = ~table & tt_mask(nvars)
-    offset = len(isop(complement, complement, nvars))
-    return max(1, onset + offset)
+    return len(clause_template(table, nvars))
 
 
 def area_cost(table: int, nvars: int) -> float:

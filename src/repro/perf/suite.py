@@ -38,6 +38,7 @@ from repro.benchgen.suite import generate_test_suite
 from repro.cnf.cnf import Cnf
 from repro.cnf.lut2cnf import lut_netlist_to_cnf
 from repro.cnf.tseitin import tseitin_encode
+from repro.logic.isop import clause_template
 from repro.logic.sop import Sop, factor_sop
 from repro.logic.truthtable import tt_mask
 from repro.mapping import LutNetlist, branching_cost, map_aig
@@ -488,10 +489,16 @@ def _map_batch(aigs: list[AIG]) -> dict[str, float]:
 
 
 def _encode_batch(netlists: list[LutNetlist]) -> dict[str, float]:
-    """Encode every LUT netlist into CNF, as Ours does after mapping."""
+    """Encode every LUT netlist into CNF, as Ours does after mapping.
+
+    The clause-template cache is emptied first, as :func:`_synth_batch`
+    empties the cut-function library; ``templates`` counts the covers built.
+    """
+    clause_template.cache_clear()
     cnfs = [lut_netlist_to_cnf(netlist) for netlist in netlists]
     return {"vars": sum(cnf.num_vars for cnf in cnfs),
-            "clauses": sum(cnf.num_clauses for cnf in cnfs)}
+            "clauses": sum(cnf.num_clauses for cnf in cnfs),
+            "templates": clause_template.cache_info().misses}
 
 
 def _cone_tables(aigs: list[AIG], max_leaves: int = 10) -> list[tuple[int, int]]:
@@ -726,8 +733,8 @@ def default_suite(quick: bool = False) -> list[Benchmark]:
         Benchmark(
             name="encode_lut",
             category="synthesis",
-            description=f"LUT-to-CNF encoding (ISOP of both polarities per "
-                        f"LUT) of the map_lut netlists of the same "
+            description=f"LUT-to-CNF encoding (one cached clause template "
+                        f"per LUT function) of the map_lut netlists of the same "
                         f"{len(synth_picks)} circuits",
             setup=lambda: [map_aig(aig, k=4, cost_fn=branching_cost).netlist
                            for aig in _suite_circuits(synth_picks)],

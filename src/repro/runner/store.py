@@ -243,10 +243,14 @@ class ResultStore:
                 f"record for {fingerprint[:12]} lacks schema/task keys; "
                 "it would be unloadable")
         get_chaos().on_store_append(self.path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
         data = (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
-        fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT,
-                     0o644)
+        flags = os.O_WRONLY | os.O_APPEND | os.O_CREAT
+        try:
+            fd = os.open(self.path, flags, 0o644)
+        except FileNotFoundError:
+            # The first append into a new directory, or one removed since.
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            fd = os.open(self.path, flags, 0o644)
         try:
             if fcntl is not None:
                 fcntl.flock(fd, fcntl.LOCK_EX)

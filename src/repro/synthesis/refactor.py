@@ -15,8 +15,7 @@ from repro.logic.truthtable import tt_mask
 from repro.synthesis.cuts import cone_truth_table, reconvergence_cut
 from repro.synthesis.resynth import (
     ReplacementPass,
-    build_factored,
-    count_new_nodes,
+    build_within,
     cut_cone_gain,
     cut_program,
 )
@@ -48,11 +47,11 @@ def refactor(aig: AIG) -> AIG:
                 nvars = len(leaves)
                 table = cone_truth_table(aig, var, leaves) & tt_mask(nvars)
                 if table not in (0, tt_mask(nvars)):
-                    program = cut_program(table, nvars)
-                    leaf_literals = [pass_state.resolve(leaf * 2) for leaf in leaves]
-                    added = count_new_nodes(aig, program, leaf_literals)
-                    if added < freed:
-                        replacement = build_factored(aig, program, leaf_literals)
+                    built = build_within(aig, cut_program(table, nvars),
+                                         pass_state.resolve_leaves(leaves),
+                                         freed - 1)
+                    if built is not None:
+                        replacement = built[1]
 
         if replacement is not None and lit_var(replacement) != var:
             pass_state.replace(var, replacement)

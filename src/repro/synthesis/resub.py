@@ -95,18 +95,41 @@ def _find_resubstitution(aig: AIG, var: int, fanout_counts: list[int],
         return None
 
     # 1-resub: the node equals AND/OR of two divisors in some polarity.
-    complements = {divisor: ~tables[divisor] & mask for divisor in divisors}
-    for div_a, div_b in combinations(divisors, 2):
-        for comp_a in (False, True):
-            term_a = complements[div_a] if comp_a else tables[div_a]
-            for comp_b in (False, True):
-                term_b = complements[div_b] if comp_b else tables[div_b]
-                if (term_a & term_b) == target:
-                    lit_a = divisor_literal(div_a, comp_a)
-                    lit_b = divisor_literal(div_b, comp_b)
-                    return aig.add_and(lit_a, lit_b)
-                if (term_a | term_b) == target:
-                    lit_a = divisor_literal(div_a, comp_a)
-                    lit_b = divisor_literal(div_b, comp_b)
-                    return lit_not(aig.add_and(lit_not(lit_a), lit_not(lit_b)))
+    found = _pair_resubstitution(divisors, tables, target, mask)
+    if found is None:
+        return None
+    div_a, comp_a, div_b, comp_b, is_or = found  # a | b is !(!a & !b)
+    literal = aig.add_and(divisor_literal(div_a, comp_a != is_or),
+                          divisor_literal(div_b, comp_b != is_or))
+    return lit_not(literal) if is_or else literal
+
+
+def _pair_resubstitution(divisors: list[int], tables: dict[int, int],
+                         target: int, mask: int
+                         ) -> tuple[int, bool, int, bool, bool] | None:
+    """Return the first ``(div_a, comp_a, div_b, comp_b, is_or)`` whose AND
+    (or OR) of two divisor terms equals ``target``, in ``(div_a, div_b,
+    comp_a, comp_b)`` order, AND before OR; None if there is none.
+
+    An AND can equal the target only if both terms contain it, an OR only if
+    both lie inside it, so each divisor keeps just the polarities that do; no
+    term does both, as it would equal the target (a 0-resub).
+    """
+    polarities = []
+    for divisor in divisors:
+        options = []
+        for complemented in (False, True):
+            term = ~tables[divisor] & mask if complemented else tables[divisor]
+            if target & ~term == 0:
+                options.append((complemented, term, False))
+            elif term & ~target == 0:
+                options.append((complemented, term, True))
+        if options:
+            polarities.append((divisor, options))
+    for (div_a, options_a), (div_b, options_b) in combinations(polarities, 2):
+        for comp_a, term_a, or_a in options_a:
+            for comp_b, term_b, or_b in options_b:
+                if or_a == or_b and (
+                        term_a | term_b if or_a else term_a & term_b) == target:
+                    return div_a, comp_a, div_b, comp_b, or_a
     return None

@@ -9,9 +9,12 @@ Both rewriting and refactoring follow the same template:
    program;
 3. estimate the *gain*: the number of AND nodes of the original cone that
    would become dangling, minus the number of genuinely new AND nodes the
-   program needs (nodes already present in the strash table are free);
-4. if the gain is positive, build the program and redirect all fanouts of
-   the node to the new literal.
+   program needs (nodes already present in the strash table are free).
+   The freed count comes first, so a cut that frees too little is never
+   looked up, and a dry run (:func:`build_within`) stops counting new nodes
+   once they exceed what the cut could still gain;
+4. if the gain is high enough, build the program and redirect all fanouts
+   of the node to the new literal.
 
 Steps 2--4 are implemented here so that the two operations only differ in how
 they choose cuts.
@@ -75,15 +78,15 @@ def cut_program(table: int, nvars: int) -> tuple[int, ...]:
     return tuple(program)
 
 
-def count_new_nodes(aig: AIG, program: tuple[int, ...],
-                    leaf_literals: list[int]) -> int:
-    """Count the AND nodes that building ``program`` would add to ``aig``.
+def build_within(aig: AIG, program: tuple[int, ...], leaf_literals: list[int],
+                 budget: int) -> tuple[int, int] | None:
+    """Build ``program`` if it adds at most ``budget`` AND nodes to ``aig``.
 
-    A dry run of :func:`build_factored` that adds nothing: it applies
-    ``add_and``'s simplification rules and strash lookup, with -1 marking a
-    node that does not exist yet (any step using one is new as well).  A
-    step repeating a new node is counted again: sharing inside one
-    replacement is not credited.
+    A dry run applies ``add_and``'s rules and strash lookup, -1 marking a new
+    node (as is any step using one; sharing inside one program is not
+    credited).  It returns None once the count exceeds ``budget``, else
+    ``(added, literal)``: with nothing new it has the literal and ``aig`` is
+    untouched, otherwise :func:`build_factored` makes the nodes.
     """
     values = [CONST0, *leaf_literals]
     strash = aig._strash
@@ -106,9 +109,14 @@ def count_new_nodes(aig: AIG, program: tuple[int, ...],
             else:
                 existing = strash.get((a, b) if a <= b else (b, a))
                 result = -1 if existing is None else existing * 2
-        added += result < 0
+        if result < 0:
+            added += 1
+            if added > budget:
+                return None
         values.append(result)
-    return added
+    if added:
+        return added, build_factored(aig, program, leaf_literals)
+    return 0, values[program[-1] >> 1] ^ (program[-1] & 1)
 
 
 def build_factored(aig: AIG, program: tuple[int, ...],
@@ -180,6 +188,11 @@ class ReplacementPass:
             complemented ^= target & 1
             var = target >> 1
         return 2 * var + complemented
+
+    def resolve_leaves(self, leaves: tuple[int, ...]) -> list[int]:
+        """Return :meth:`resolve` of each leaf's positive literal."""
+        return [self.resolve(2 * leaf) if leaf in self._substitution
+                else 2 * leaf for leaf in leaves]
 
     def replace(self, var: int, new_literal: int) -> None:
         """Record that node ``var`` is now computed by ``new_literal``.

@@ -16,8 +16,7 @@ from repro.logic.truthtable import tt_mask
 from repro.synthesis.cuts import enumerate_cuts
 from repro.synthesis.resynth import (
     ReplacementPass,
-    build_factored,
-    count_new_nodes,
+    build_within,
     cut_cone_gain,
     cut_program,
 )
@@ -50,14 +49,17 @@ def rewrite(aig: AIG) -> AIG:
             # those are handled by constant propagation, not rewriting.
             if cut.table in (0, tt_mask(cut.size)):
                 continue
-            program = cut_program(cut.table, cut.size)
-            leaf_literals = [pass_state.resolve(leaf * 2) for leaf in cut.leaves]
-            added = count_new_nodes(aig, program, leaf_literals)
+            # A cut wins when freed - added >= best_gain, so one freeing
+            # less than best_gain cannot, and one may add freed - best_gain.
             freed = cut_cone_gain(aig, var, cut.leaves, fanout_counts)
-            gain = freed - added
-            if gain >= best_gain:
-                best_gain = gain
-                best_literal = build_factored(aig, program, leaf_literals)
+            if freed < best_gain:
+                continue
+            built = build_within(aig, cut_program(cut.table, cut.size),
+                                 pass_state.resolve_leaves(cut.leaves),
+                                 freed - best_gain)
+            if built is not None:
+                added, best_literal = built
+                best_gain = freed - added
 
         if best_literal is not None and lit_var(best_literal) != var:
             pass_state.replace(var, best_literal)

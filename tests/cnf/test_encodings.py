@@ -6,6 +6,8 @@ assignment that satisfies the encoding exactly when the circuit output
 constraint holds.
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +17,8 @@ from repro.aig.aig import lit_is_complemented, lit_var
 from repro.aig.simulate import evaluate
 from repro.cnf import lut_netlist_to_cnf, tseitin_encode
 from repro.errors import CnfError
-from repro.logic.truthtable import tt_eval
+from repro.logic.isop import clause_template, isop
+from repro.logic.truthtable import tt_eval, tt_mask
 from repro.mapping import branching_cost, map_aig
 from repro.mapping.cost import branching_complexity
 from tests.helpers import random_aig, ripple_adder_aig
@@ -161,3 +164,57 @@ class TestLut2Cnf:
             outputs = netlist.evaluate(bits)
             model = _lut_model(netlist, cnf, bits)
             assert cnf.evaluate(model) == any(outputs)
+
+
+def _isop_clauses(table, nvars):
+    """The clauses of one LUT from two ISOP calls, as the encoder made them
+    per LUT: a cube's negation over ``x_i = i + 1``, then the output."""
+    mask = tt_mask(nvars)
+    clauses = []
+    for function, output in ((table & mask, nvars + 1),
+                             (~table & mask, -(nvars + 1))):
+        for cube in isop(function, function, nvars):
+            clause = [(i + 1) if cube.neg_mask >> i & 1 else -(i + 1)
+                      for i in range(nvars) if (cube.pos_mask | cube.neg_mask) >> i & 1]
+            clauses.append((*clause, output))
+    return tuple(clauses)
+
+
+def _satisfied_exactly_by_the_function(clauses, table, nvars):
+    for minterm in range(1 << nvars):
+        for value in (False, True):
+            assignment = [bool(minterm >> i & 1) for i in range(nvars)] + [value]
+            holds = all(any(assignment[abs(lit) - 1] == (lit > 0) for lit in clause)
+                        for clause in clauses)
+            if holds != (value == bool(table >> minterm & 1)):
+                return False
+    return True
+
+
+#: Every 2- and 3-input function, then seeded random 4-6-input tables.
+TEMPLATE_TABLES = ([(table, nvars) for nvars in (2, 3) for table in range(1 << (1 << nvars))]
+                   + [(random.Random(100 * nvars + i).getrandbits(1 << nvars), nvars)
+                      for nvars in (4, 5, 6) for i in range(24)])
+
+
+class TestClauseTemplate:
+    def test_matches_per_lut_isop(self):
+        for table, nvars in TEMPLATE_TABLES:
+            template = clause_template(table, nvars)
+            assert template == _isop_clauses(table, nvars), (table, nvars)
+            assert _satisfied_exactly_by_the_function(template, table, nvars)
+
+    def test_length_is_branching_complexity(self):
+        for table, nvars in TEMPLATE_TABLES + [(0, 0), (1, 0)]:
+            onset = len(isop(table, table, nvars))
+            offset = len(isop(~table & tt_mask(nvars), ~table & tt_mask(nvars), nvars))
+            assert branching_complexity(table, nvars) \
+                == len(clause_template(table, nvars)) == max(1, onset + offset)
+
+    def test_one_cached_template_per_function(self):
+        clause_template.cache_clear()
+        first = clause_template(0b0110, 2)
+        assert clause_template(0b0110, 2) is first
+        assert branching_complexity(0b0110, 2) == 4
+        info = clause_template.cache_info()
+        assert (info.misses, info.hits) == (1, 2)

@@ -45,6 +45,16 @@ class TestPreprocessor:
         result = preprocessor.preprocess(instance)
         assert 0 < len(result.recipe) <= 3
         assert solve_cnf(result.cnf).status in ("SAT", "UNSAT")
+        assert preprocessor.embedder.dim == 64
+
+    def test_embedder_is_built_only_for_an_agent(self, monkeypatch):
+        built = []
+        monkeypatch.setattr("repro.core.preprocess.DeepGateEmbedder",
+                            lambda **kwargs: built.append(kwargs))
+        preprocessor = Preprocessor()
+        preprocessor.preprocess(random_aig(num_pis=4, num_nodes=12, seed=8))
+        assert preprocessor.embedder is None
+        assert built == []
 
     def test_mapping_cost_matches_netlist(self):
         instance = lec_instance(parity_tree(10), equivalent=False, seed=5)

@@ -117,6 +117,29 @@ class TestConcurrentWriters:
         assert ResultStore(path).get_record("Zebra")["result"] \
             == {"status": "SAT"}
 
+    def test_first_append_creates_the_directory_once(self, tmp_path,
+                                                     monkeypatch):
+        path = tmp_path / "a" / "b" / "store.jsonl"
+        store = ResultStore(path)
+        assert not path.parent.exists()
+        store.put("aaa", make_run("a"))
+        made = []
+        monkeypatch.setattr(type(path), "mkdir",
+                            lambda self, *args, **kwargs: made.append(self))
+        store.put("bbb", make_run("b"))
+        ResultStore(path).put("ccc", make_run("c"))
+        assert made == []
+        assert len(ResultStore(path)) == 3
+
+    def test_append_recreates_a_removed_directory(self, tmp_path):
+        path = tmp_path / "gone" / "store.jsonl"
+        store = ResultStore(path)
+        store.put("aaa", make_run("a"))
+        path.unlink()
+        path.parent.rmdir()
+        store.put("bbb", make_run("b"))
+        assert list(ResultStore(path)._records) == ["bbb"]
+
     def test_put_record_requires_loadable_shape(self, tmp_path):
         store = ResultStore(tmp_path / "store.jsonl")
         with pytest.raises(StoreError):

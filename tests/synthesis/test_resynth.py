@@ -13,7 +13,7 @@ from repro.synthesis import apply_operation
 from repro.synthesis.resynth import (
     ReplacementPass,
     build_factored,
-    count_new_nodes,
+    build_within,
     cut_program,
     factored_form,
 )
@@ -38,7 +38,6 @@ def test_compiled_program_matches_exhaustive_simulation(nvars, table):
     program = cut_program(table, nvars)
     aig = AIG()
     leaves = [aig.add_pi() for _ in range(nvars)]
-    predicted = count_new_nodes(aig, program, leaves)
     first_new_var = aig.num_vars
     results = []
     add_and = aig.add_and
@@ -48,7 +47,8 @@ def test_compiled_program_matches_exhaustive_simulation(nvars, table):
         return results[-1]
 
     aig.add_and = recording_add_and
-    aig.add_po(build_factored(aig, program, leaves))
+    predicted, literal = build_within(aig, program, leaves, len(program))
+    aig.add_po(literal)
     assert po_truth_tables(aig) == [table]
     # The dry run counts every step whose result is a node the build
     # creates, a step that meets a node built earlier in the same program
@@ -62,13 +62,15 @@ def test_compiled_program_matches_exhaustive_simulation(nvars, table):
         program[0] = 0
 
 
-def test_count_new_nodes_reuses_existing_structure():
+def test_dry_run_reuses_existing_structure():
     nvars, table = TABLES["n10-0"]
     program = cut_program(table, nvars)
     aig = AIG()
     leaves = [aig.add_pi() for _ in range(nvars)]
-    build_factored(aig, program, leaves)
-    assert count_new_nodes(aig, program, leaves) == 0
+    literal = build_factored(aig, program, leaves)
+    num_vars = aig.num_vars
+    assert build_within(aig, program, leaves, 0) == (0, literal)
+    assert aig.num_vars == num_vars
 
 
 def test_one_entry_per_table():
@@ -113,14 +115,14 @@ def test_outputs_do_not_depend_on_library_contents(instances, label,
 
 
 @pytest.mark.parametrize("second", ["same", "complement", "const0", "const1"])
-def test_count_new_nodes_applies_add_and_rules(second):
+def test_dry_run_applies_add_and_rules(second):
     aig = AIG()
     x = aig.add_pi()
     leaves = [x, {"same": x, "complement": x ^ 1, "const0": 0, "const1": 1}[second]]
     program = cut_program(0b1000, 2)  # x0 AND x1
-    predicted = count_new_nodes(aig, program, leaves)
-    build_factored(aig, program, leaves)
-    assert predicted == aig.num_ands == 0
+    assert build_within(aig, program, leaves, 0) == (
+        0, build_factored(aig, program, leaves))
+    assert aig.num_ands == 0
 
 
 def _has_no_dangling_nodes(aig):
