@@ -9,8 +9,7 @@ Cubes are returned as :class:`Cube` objects carrying two bit masks: one for
 positive literals and one for negative literals.  The cover of the complement
 is obtained by calling :func:`isop` on the complemented bounds; the sum of the
 two cover sizes is the *branching complexity* used by the cost-customized LUT
-mapper (see :mod:`repro.mapping.cost`).  :func:`clause_template` turns the two
-covers into the clauses of a LUT, shared by that cost and the LUT encoder.
+mapper (see :mod:`repro.mapping.cost`) and the length of :func:`clause_template`.
 """
 
 from __future__ import annotations
@@ -116,21 +115,18 @@ def isop_cube_count(function: TruthTable, nvars: int) -> int:
 def clause_template(table: TruthTable, nvars: int) -> tuple[tuple[int, ...], ...]:
     """Return the CNF clauses of a LUT ``y = f(x_0, ..., x_{nvars-1})``.
 
-    A literal is a signed position: input ``x_i`` is ``i + 1``, the output
-    ``y`` is ``nvars + 1``, negative when complemented.  Every cube ``c`` of
-    ``ISOP(f)`` gives the clause ``(!c | y)``, then every cube of
-    ``ISOP(!f)`` gives ``(!c | !y)``, each cube's literals in ascending
-    variable order.  The clause count is the LUT's branching complexity.
+    Literals are signed positions (``x_i`` is ``i + 1``, ``y`` is
+    ``nvars + 1``): ``(!c | y)`` for each cube ``c`` of ``ISOP(f)``, then
+    ``(!c | !y)`` for each cube of ``ISOP(!f)``, cube literals in ascending
+    variable order.  The LUT encoder and the branching cost share it.
     """
     mask = tt_mask(nvars)
     table &= mask
     clauses = []
     for function, output in ((table, nvars + 1), (~table & mask, -nvars - 1)):
         for cube in isop(function, function, nvars):
-            clause = [var + 1 if negated else -var - 1
-                      for var, negated in cube.literals()]
-            clause.append(output)
-            clauses.append(tuple(clause))
+            clauses.append(tuple([var + 1 if negated else -var - 1
+                                  for var, negated in cube.literals()] + [output]))
     return tuple(clauses)
 
 

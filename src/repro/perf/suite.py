@@ -489,11 +489,8 @@ def _map_batch(aigs: list[AIG]) -> dict[str, float]:
 
 
 def _encode_batch(netlists: list[LutNetlist]) -> dict[str, float]:
-    """Encode every LUT netlist into CNF, as Ours does after mapping.
-
-    The clause-template cache is emptied first, as :func:`_synth_batch`
-    empties the cut-function library; ``templates`` counts the covers built.
-    """
+    """Encode every LUT netlist into CNF, as Ours does after mapping, from
+    an empty clause-template cache; ``templates`` counts the covers built."""
     clause_template.cache_clear()
     cnfs = [lut_netlist_to_cnf(netlist) for netlist in netlists]
     return {"vars": sum(cnf.num_vars for cnf in cnfs),

@@ -247,8 +247,7 @@ class ResultStore:
         flags = os.O_WRONLY | os.O_APPEND | os.O_CREAT
         try:
             fd = os.open(self.path, flags, 0o644)
-        except FileNotFoundError:
-            # The first append into a new directory, or one removed since.
+        except FileNotFoundError:  # a new directory, or one removed since
             self.path.parent.mkdir(parents=True, exist_ok=True)
             fd = os.open(self.path, flags, 0o644)
         try:

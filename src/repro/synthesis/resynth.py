@@ -9,12 +9,10 @@ Both rewriting and refactoring follow the same template:
    program;
 3. estimate the *gain*: the number of AND nodes of the original cone that
    would become dangling, minus the number of genuinely new AND nodes the
-   program needs (nodes already present in the strash table are free).
-   The freed count comes first, so a cut that frees too little is never
-   looked up, and a dry run (:func:`build_within`) stops counting new nodes
-   once they exceed what the cut could still gain;
-4. if the gain is high enough, build the program and redirect all fanouts
-   of the node to the new literal.
+   program needs (nodes already present in the strash table are free;
+   :func:`build_within` stops counting once the gain is too small);
+4. if the gain is positive, build the program and redirect all fanouts of
+   the node to the new literal.
 
 Steps 2--4 are implemented here so that the two operations only differ in how
 they choose cuts.

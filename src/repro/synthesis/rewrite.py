@@ -43,18 +43,19 @@ def rewrite(aig: AIG) -> AIG:
         best_literal = None
         best_gain = 1
         for cut in cuts[var]:
-            if cut.size < 2 or cut.leaves == (var,):
+            size = len(cut.leaves)  # 1 for the trivial cut (var,)
+            if size < 2:
                 continue
             # Skip cuts whose function degenerates to a single leaf/constant:
             # those are handled by constant propagation, not rewriting.
-            if cut.table in (0, tt_mask(cut.size)):
+            if cut.table in (0, tt_mask(size)):
                 continue
             # A cut wins when freed - added >= best_gain, so one freeing
             # less than best_gain cannot, and one may add freed - best_gain.
             freed = cut_cone_gain(aig, var, cut.leaves, fanout_counts)
             if freed < best_gain:
                 continue
-            built = build_within(aig, cut_program(cut.table, cut.size),
+            built = build_within(aig, cut_program(cut.table, size),
                                  pass_state.resolve_leaves(cut.leaves),
                                  freed - best_gain)
             if built is not None:
