@@ -1,4 +1,4 @@
-"""Boolean-function substrate: truth tables, ISOP covers, SOP factoring.
+"""Boolean-function substrate: truth tables, ISOP covers, cover factoring.
 
 This package provides the low-level Boolean-function machinery used by the
 synthesis operations (:mod:`repro.synthesis`), the LUT mapper
@@ -28,8 +28,8 @@ from repro.logic.truthtable import (
     tt_expand,
     tt_shrink_to_support,
 )
-from repro.logic.isop import Cube, isop, cover_to_tt, isop_cube_count
-from repro.logic.sop import Sop, factor_sop, FactoredNode
+from repro.logic.isop import Cube, isop, cover_to_tt
+from repro.logic.sop import factor_cover
 
 __all__ = [
     "TruthTable",
@@ -51,8 +51,5 @@ __all__ = [
     "Cube",
     "isop",
     "cover_to_tt",
-    "isop_cube_count",
-    "Sop",
-    "factor_sop",
-    "FactoredNode",
+    "factor_cover",
 ]

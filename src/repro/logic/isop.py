@@ -5,8 +5,9 @@ prime-ish cube cover of any function sandwiched between a lower bound ``L``
 and an upper bound ``U`` (both truth tables).  For a completely specified
 function ``f`` call ``isop(f, f, nvars)``.
 
-Cubes are returned as :class:`Cube` objects carrying two bit masks: one for
-positive literals and one for negative literals.  The cover of the complement
+A cube is a plain ``(pos_mask, neg_mask)`` pair of ints (:data:`Cube`), so
+a cover is a list of int pairs: :func:`clause_template` and the factoring in
+:mod:`repro.logic.sop` read the masks directly.  The cover of the complement
 is obtained by calling :func:`isop` on the complemented bounds; the sum of the
 two cover sizes is the *branching complexity* used by the cost-customized LUT
 mapper (see :mod:`repro.mapping.cost`) and the length of :func:`clause_template`.
@@ -14,7 +15,6 @@ mapper (see :mod:`repro.mapping.cost`) and the length of :func:`clause_template`
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from repro.errors import TruthTableError
@@ -25,68 +25,29 @@ from repro.logic.truthtable import (
     _depends,
     _selectors,
     tt_mask,
-    tt_not,
     tt_var,
 )
 
 
-@dataclass(frozen=True)
-class Cube:
-    """A product term over a fixed variable set.
-
-    ``pos_mask`` has bit ``i`` set when variable ``i`` appears positively and
-    ``neg_mask`` has bit ``i`` set when it appears complemented.  A variable
-    absent from both masks is a don't-care in this cube.  The empty cube
-    (both masks zero) is the tautology cube.
-    """
-
-    pos_mask: int
-    neg_mask: int
-
-    def __post_init__(self) -> None:
-        if self.pos_mask & self.neg_mask:
-            raise TruthTableError(
-                "a cube cannot contain a variable both positively and negatively"
-            )
-
-    @property
-    def num_literals(self) -> int:
-        """Number of literals in the cube."""
-        return bin(self.pos_mask).count("1") + bin(self.neg_mask).count("1")
-
-    def literals(self) -> list[tuple[int, bool]]:
-        """Return ``(variable, negated)`` pairs for every literal in the cube."""
-        result = []
-        mask = self.pos_mask | self.neg_mask
-        while mask:
-            low = mask & -mask
-            result.append((low.bit_length() - 1, bool(self.neg_mask & low)))
-            mask ^= low
-        return result
-
-    def contains_minterm(self, minterm: int) -> bool:
-        """Return True when the input ``minterm`` lies inside the cube."""
-        if (minterm & self.pos_mask) != self.pos_mask:
-            return False
-        if minterm & self.neg_mask:
-            return False
-        return True
-
-    def to_tt(self, nvars: int) -> TruthTable:
-        """Return the truth table of the cube over ``nvars`` variables."""
-        table = tt_mask(nvars)
-        for var, negated in self.literals():
-            var_table = tt_var(var, nvars)
-            table &= tt_not(var_table, nvars) if negated else var_table
-        return table
+#: A product term ``(pos_mask, neg_mask)``: bit ``i`` of ``pos_mask`` is set
+#: when variable ``i`` appears positively, of ``neg_mask`` when it appears
+#: complemented.  ``(0, 0)`` is the tautology cube.
+Cube = tuple[int, int]
 
 
 def cover_to_tt(cubes: list[Cube], nvars: int) -> TruthTable:
     """Return the truth table of the disjunction of ``cubes``."""
+    mask = tt_mask(nvars)
     table = 0
-    for cube in cubes:
-        table |= cube.to_tt(nvars)
-    return table & tt_mask(nvars)
+    for pos_mask, neg_mask in cubes:
+        cube = mask
+        for var in range(nvars):
+            if pos_mask >> var & 1:
+                cube &= tt_var(var, nvars)
+            if neg_mask >> var & 1:
+                cube &= ~tt_var(var, nvars)
+        table |= cube
+    return table
 
 
 def isop(lower: TruthTable, upper: TruthTable, nvars: int) -> list[Cube]:
@@ -101,14 +62,7 @@ def isop(lower: TruthTable, upper: TruthTable, nvars: int) -> list[Cube]:
     upper &= mask
     if lower & ~upper & mask:
         raise TruthTableError("isop requires lower <= upper")
-    cover, cubes = _isop_rec(lower, upper, nvars, nvars)
-    del cover
-    return cubes
-
-
-def isop_cube_count(function: TruthTable, nvars: int) -> int:
-    """Return the number of cubes in the ISOP cover of ``function``."""
-    return len(isop(function, function, nvars))
+    return _isop_rec(lower, upper, nvars, nvars)[1]
 
 
 @lru_cache(maxsize=1 << 16)
@@ -124,9 +78,10 @@ def clause_template(table: TruthTable, nvars: int) -> tuple[tuple[int, ...], ...
     table &= mask
     clauses = []
     for function, output in ((table, nvars + 1), (~table & mask, -nvars - 1)):
-        for cube in isop(function, function, nvars):
-            clauses.append(tuple([var + 1 if negated else -var - 1
-                                  for var, negated in cube.literals()] + [output]))
+        for pos_mask, neg_mask in isop(function, function, nvars):
+            clause = [var + 1 if neg_mask >> var & 1 else -var - 1
+                      for var in range(nvars) if (pos_mask | neg_mask) >> var & 1]
+            clauses.append((*clause, output))
     return tuple(clauses)
 
 
@@ -142,7 +97,7 @@ def _isop_rec(lower: TruthTable, upper: TruthTable, top_var: int,
     if lower == 0:
         return 0, []
     if upper == mask:
-        return mask, [Cube(0, 0)]
+        return mask, [(0, 0)]
 
     # Find the splitting variable: the highest variable on which either bound
     # depends.  Both bounds constant would have been caught above.
@@ -171,12 +126,9 @@ def _isop_rec(lower: TruthTable, upper: TruthTable, top_var: int,
     cover2, cubes2 = _isop_rec(rest_lower, upper0 & upper1, split, nvars)
 
     var_bit = 1 << split
-    result_cubes = []
-    for cube in cubes0:
-        result_cubes.append(Cube(cube.pos_mask, cube.neg_mask | var_bit))
-    for cube in cubes1:
-        result_cubes.append(Cube(cube.pos_mask | var_bit, cube.neg_mask))
-    result_cubes.extend(cubes2)
+    result_cubes = [(pos, neg | var_bit) for pos, neg in cubes0]
+    result_cubes += [(pos | var_bit, neg) for pos, neg in cubes1]
+    result_cubes += cubes2
 
     ones, zeros = _selectors(nvars)
     cover = (cover0 & zeros[split]) | (cover1 & ones[split]) | cover2

@@ -1,112 +1,89 @@
-"""Sum-of-products containers and algebraic factoring.
+"""Algebraic factoring of an ISOP cover straight into a flat AND program.
 
 The synthesis operations (:mod:`repro.synthesis.rewrite` and
-:mod:`repro.synthesis.refactor`) resynthesise a cut function by first
-computing an ISOP cover (:mod:`repro.logic.isop`), then factoring it
-algebraically with :func:`factor_sop`, and finally translating the factored
-form into AND/INV nodes.  The factoring used here is the classic
-"quick factor" style: repeatedly divide by the best single-literal divisor.
-It is not optimal but mirrors what fast industrial rewriting does and is
-sufficient to realise meaningful node savings.
+:mod:`repro.synthesis.refactor`) resynthesise a cut function by computing
+ISOP covers of both polarities (:mod:`repro.logic.isop`) and factoring each
+with :func:`factor_cover` into the program format of
+:func:`repro.synthesis.resynth.cut_program`.  The factoring is the classic
+"quick factor" style: repeatedly divide by the literal that appears in the
+most cubes.  It is not optimal but mirrors what fast industrial rewriting
+does and is sufficient to realise meaningful node savings.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from repro.errors import TruthTableError
-from repro.logic.isop import Cube, cover_to_tt, isop
-from repro.logic.truthtable import TruthTable, tt_mask
+from repro.logic.isop import Cube
 
 
-@dataclass
-class Sop:
-    """A sum-of-products: a list of cubes over ``nvars`` variables."""
+def factor_cover(cubes: list[Cube], nvars: int,
+                 program: list[int]) -> tuple[int, int]:
+    """Append the quick-factored form of ``cubes`` to ``program``.
 
-    nvars: int
-    cubes: list[Cube] = field(default_factory=list)
-
-    @classmethod
-    def from_truth_table(cls, table: TruthTable, nvars: int) -> "Sop":
-        """Build an irredundant SOP for ``table``."""
-        return cls(nvars=nvars, cubes=isop(table, table, nvars))
-
-    def to_tt(self) -> TruthTable:
-        """Return the truth table realised by this SOP."""
-        return cover_to_tt(self.cubes, self.nvars)
-
-    @property
-    def num_cubes(self) -> int:
-        return len(self.cubes)
-
-    @property
-    def num_literals(self) -> int:
-        return sum(cube.num_literals for cube in self.cubes)
-
-    def is_constant(self) -> int | None:
-        """Return 0 or 1 when the SOP is trivially constant, else None."""
-        if not self.cubes:
-            return 0
-        if any(cube.pos_mask == 0 and cube.neg_mask == 0 for cube in self.cubes):
-            return 1
-        return None
-
-
-@dataclass
-class FactoredNode:
-    """A node of a factored Boolean expression tree.
-
-    ``kind`` is one of ``"lit"``, ``"and"``, ``"or"``, ``"not"``, ``"const0"``
-    and ``"const1"``.  Literal nodes carry ``var``/``negated``; AND/OR nodes
-    carry a list of children and a NOT node carries exactly one.
+    ``program`` holds the operand pairs of ``cut_program``'s format (step
+    ``k`` is slot ``nvars + 1 + k``).  Returns ``(code, literals)``: the
+    output code and the literal count of the factored form.  Steps come in
+    post-order; the operands of an AND or an OR (by De Morgan) pair up level
+    by level.  An empty cover is const0, a cover holding the tautology cube
+    const1 and a one-literal cube that literal, none with a step.
     """
-
-    kind: str
-    var: int = -1
-    negated: bool = False
-    children: list["FactoredNode"] = field(default_factory=list)
-
-    @classmethod
-    def literal(cls, var: int, negated: bool) -> "FactoredNode":
-        return cls(kind="lit", var=var, negated=negated)
-
-    @classmethod
-    def conj(cls, children: list["FactoredNode"]) -> "FactoredNode":
-        if not children:
-            return cls(kind="const1")
-        if len(children) == 1:
-            return children[0]
-        return cls(kind="and", children=children)
-
-    @classmethod
-    def disj(cls, children: list["FactoredNode"]) -> "FactoredNode":
-        if not children:
-            return cls(kind="const0")
-        if len(children) == 1:
-            return children[0]
-        return cls(kind="or", children=children)
-
-    def literal_count(self) -> int:
-        """Return the number of literal leaves in the expression tree."""
-        if self.kind == "lit":
-            return 1
-        if self.kind in ("const0", "const1"):
-            return 0
-        return sum(child.literal_count() for child in self.children)
+    if not cubes:
+        return 0, 0
+    if (0, 0) in cubes:
+        return 1, 0
+    return _factor(cubes, nvars, program)
 
 
-def factor_sop(sop: Sop) -> FactoredNode:
-    """Return an algebraically factored expression tree for ``sop``.
+def _factor(cubes: list[Cube], nvars: int, program: list[int]) -> tuple[int, int]:
+    """Recursive quick factoring of a non-empty cover."""
+    if len(cubes) == 1:
+        return _cube_code(cubes[0], nvars, program)
 
-    The result is logically equivalent to the SOP (it is produced purely by
-    algebraic division, never by Boolean manipulation).
-    """
-    constant = sop.is_constant()
-    if constant == 0:
-        return FactoredNode(kind="const0")
-    if constant == 1:
-        return FactoredNode(kind="const1")
-    return _factor_cubes(sop.cubes, sop.nvars)
+    key = _most_common_literal(cubes, nvars)
+    if key is None:
+        # No sharing: a flat OR of cube ANDs.
+        factored = [_cube_code(cube, nvars, program) for cube in cubes]
+        return (_and_all([code ^ 1 for code, _ in factored], nvars, program) ^ 1,
+                sum(count for _, count in factored))
+
+    var, negated = divmod(key, 2)
+    bit = 1 << var
+    quotient = []
+    remainder = []
+    for cube in cubes:
+        if cube[negated] & bit:
+            quotient.append((cube[0] & ~bit, cube[1] & ~bit))
+        else:
+            remainder.append(cube)
+    code, literals = _factor(quotient, nvars, program)
+    product = _and_all([key + 2, code], nvars, program)
+    if not remainder:
+        return product, literals + 1
+    code, count = _factor(remainder, nvars, program)
+    return (_and_all([product ^ 1, code ^ 1], nvars, program) ^ 1,
+            literals + 1 + count)
+
+
+def _cube_code(cube: Cube, nvars: int, program: list[int]) -> tuple[int, int]:
+    """Return ``(code, literals)`` of the AND of the cube's literals."""
+    pos_mask, neg_mask = cube
+    codes = []
+    mask = pos_mask | neg_mask
+    while mask:
+        low = mask & -mask
+        codes.append(2 * low.bit_length() + bool(neg_mask & low))
+        mask ^= low
+    return (_and_all(codes, nvars, program) if codes else 1), len(codes)
+
+
+def _and_all(codes: list[int], nvars: int, program: list[int]) -> int:
+    """AND ``codes`` pairwise, level by level; return the result's code."""
+    while len(codes) > 1:
+        paired = []
+        for i in range(0, len(codes) - 1, 2):
+            program.extend((codes[i], codes[i + 1]))
+            paired.append(2 * nvars + len(program))
+        codes = paired + codes[len(paired) * 2:]
+    return codes[0]
 
 
 def _most_common_literal(cubes: list[Cube], nvars: int) -> int | None:
@@ -118,7 +95,7 @@ def _most_common_literal(cubes: list[Cube], nvars: int) -> int | None:
     """
     counts = [0] * (2 * nvars)
     for cube in cubes:
-        for mask, negated in ((cube.pos_mask, 0), (cube.neg_mask, 1)):
+        for negated, mask in enumerate(cube):
             while mask:
                 low = mask & -mask
                 counts[2 * low.bit_length() - 2 + negated] += 1
@@ -130,75 +107,3 @@ def _most_common_literal(cubes: list[Cube], nvars: int) -> int | None:
             best_key = key
             best_count = count
     return best_key
-
-
-def _remove_literal(cube: Cube, key: int) -> Cube:
-    var, negated = divmod(key, 2)
-    if negated:
-        return Cube(cube.pos_mask, cube.neg_mask & ~(1 << var))
-    return Cube(cube.pos_mask & ~(1 << var), cube.neg_mask)
-
-
-def _cube_to_node(cube: Cube) -> FactoredNode:
-    literals = [FactoredNode.literal(var, neg) for var, neg in cube.literals()]
-    return FactoredNode.conj(literals)
-
-
-def _factor_cubes(cubes: list[Cube], nvars: int) -> FactoredNode:
-    """Recursive quick-factoring over a cube list."""
-    if not cubes:
-        return FactoredNode(kind="const0")
-    if len(cubes) == 1:
-        return _cube_to_node(cubes[0])
-
-    divisor_key = _most_common_literal(cubes, nvars)
-    if divisor_key is None:
-        # No sharing: a flat OR of cube ANDs.
-        return FactoredNode.disj([_cube_to_node(cube) for cube in cubes])
-
-    var, negated = divmod(divisor_key, 2)
-    var_bit = 1 << var
-    quotient = []
-    remainder = []
-    for cube in cubes:
-        if (cube.neg_mask if negated else cube.pos_mask) & var_bit:
-            quotient.append(_remove_literal(cube, divisor_key))
-        else:
-            remainder.append(cube)
-
-    divisor_node = FactoredNode.literal(var, bool(negated))
-    quotient_node = _factor_cubes(quotient, nvars)
-    product = FactoredNode.conj([divisor_node, quotient_node])
-    if not remainder:
-        return product
-    remainder_node = _factor_cubes(remainder, nvars)
-    return FactoredNode.disj([product, remainder_node])
-
-
-def factored_to_tt(node: FactoredNode, nvars: int) -> TruthTable:
-    """Evaluate a factored expression tree back into a truth table.
-
-    Used by the test-suite to check that factoring preserves the function.
-    """
-    from repro.logic.truthtable import tt_and, tt_not, tt_or, tt_var
-
-    if node.kind == "const0":
-        return 0
-    if node.kind == "const1":
-        return tt_mask(nvars)
-    if node.kind == "lit":
-        table = tt_var(node.var, nvars)
-        return tt_not(table, nvars) if node.negated else table
-    if node.kind == "not":
-        return tt_not(factored_to_tt(node.children[0], nvars), nvars)
-    if node.kind == "and":
-        result = tt_mask(nvars)
-        for child in node.children:
-            result = tt_and(result, factored_to_tt(child, nvars), nvars)
-        return result
-    if node.kind == "or":
-        result = 0
-        for child in node.children:
-            result = tt_or(result, factored_to_tt(child, nvars), nvars)
-        return result
-    raise TruthTableError(f"unknown factored-node kind: {node.kind}")

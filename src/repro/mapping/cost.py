@@ -43,7 +43,8 @@ def lut_cost_table(nvars: int, cost_fn=branching_cost) -> dict[int, float]:
     This mirrors the paper's "enumerate all 4-LUTs and integrate their
     branching complexity into the cost function" step.  For ``nvars`` up to 3
     the full table is returned; for 4 inputs the 65 536 functions are also
-    enumerated but the call takes a few seconds, so it is intended for
-    offline precomputation (benchmarks cache the result).
+    enumerated but the call takes a few seconds, so it is meant for offline
+    inspection.  Nothing caches its result, and the mapper does not call it:
+    :func:`branching_cost` reads the cached ``clause_template`` per function.
     """
     return {table: cost_fn(table, nvars) for table in range(1 << (1 << nvars))}

@@ -38,8 +38,8 @@ from repro.benchgen.suite import generate_test_suite
 from repro.cnf.cnf import Cnf
 from repro.cnf.lut2cnf import lut_netlist_to_cnf
 from repro.cnf.tseitin import tseitin_encode
-from repro.logic.isop import clause_template
-from repro.logic.sop import Sop, factor_sop
+from repro.logic.isop import clause_template, isop
+from repro.logic.sop import factor_cover
 from repro.logic.truthtable import tt_mask
 from repro.mapping import LutNetlist, branching_cost, map_aig
 from repro.obs import Tracer, read_trace, use_tracer
@@ -517,9 +517,9 @@ def _isop_factor_batch(tables: list[tuple[int, int]]) -> dict[str, float]:
     cubes = literals = 0
     for nvars, table in tables:
         for function in (table, ~table & tt_mask(nvars)):
-            sop = Sop.from_truth_table(function, nvars)
-            cubes += sop.num_cubes
-            literals += factor_sop(sop).literal_count()
+            cover = isop(function, function, nvars)
+            cubes += len(cover)
+            literals += factor_cover(cover, nvars, [])[1]
     return {"tables": len(tables), "cubes": cubes, "literals": literals}
 
 

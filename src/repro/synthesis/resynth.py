@@ -3,10 +3,11 @@
 Both rewriting and refactoring follow the same template:
 
 1. pick a cut of a node and obtain the node's function over the cut leaves;
-2. resynthesise that function into a (hopefully smaller) AND/INV structure
-   via ISOP + algebraic factoring, looked up in a process-wide library
-   (:func:`cut_program`) that compiles each function once into a flat AND
-   program;
+2. resynthesise that function into a (hopefully smaller) AND/INV structure:
+   ISOP covers of both polarities, each factored algebraically straight into
+   a flat AND program (:func:`repro.logic.sop.factor_cover`), looked up in a
+   process-wide library (:func:`cut_program`) that does this once per
+   function;
 3. estimate the *gain*: the number of AND nodes of the original cone that
    would become dangling, minus the number of genuinely new AND nodes the
    program needs (nodes already present in the strash table are free;
@@ -23,57 +24,35 @@ from __future__ import annotations
 from functools import lru_cache
 
 from repro.aig.aig import AIG, CONST0, CONST1, lit_is_complemented, lit_not, lit_var
-from repro.logic.sop import FactoredNode, Sop, factor_sop
+from repro.logic.isop import isop
+from repro.logic.sop import factor_cover
 from repro.logic.truthtable import tt_mask
-
-
-def factored_form(table: int, nvars: int) -> FactoredNode:
-    """Return a factored expression tree realising ``table`` over ``nvars`` inputs.
-
-    Both polarities are factored and the cheaper one is kept (the complement
-    is realised by a top-level inversion, which is free in an AIG).
-    """
-    positive = factor_sop(Sop.from_truth_table(table, nvars))
-    negative = factor_sop(Sop.from_truth_table(~table & tt_mask(nvars), nvars))
-    if negative.literal_count() < positive.literal_count():
-        return FactoredNode(kind="not", children=[negative])
-    return positive
 
 
 @lru_cache(maxsize=1 << 14)
 def cut_program(table: int, nvars: int) -> tuple[int, ...]:
-    """Return :func:`factored_form` of ``table`` compiled to a flat AND program.
+    """Return ``table`` factored into a flat AND program over ``nvars`` leaves.
 
     This is the process-wide cut-function library of ``rewrite`` and
     ``refactor``: each ``(table, nvars)`` is factored once.  The program is a
     tuple of operand codes ``2*slot + negated``; slot 0 is the constant,
     slots ``1..nvars`` are the cut leaves and slot ``nvars + 1 + k`` is step
     ``k``, the AND of codes ``2k`` and ``2k + 1``.  The last code is the
-    output.  Steps follow the tree in post-order, each AND/OR node pairing
-    its children level by level (OR by De Morgan), so a build calls
-    ``add_and`` in a fixed order whatever the cache held before.
+    output.  Both polarities' ISOP covers are factored
+    (:func:`~repro.logic.sop.factor_cover`); the offset, inverted at the
+    output for free, is kept only when it has strictly fewer literals.  The
+    steps are in a fixed order, so a build calls ``add_and`` the same way
+    whatever the cache held before.
     """
-    program: list[int] = []
-
-    def compile_node(node: FactoredNode) -> int:
-        if node.kind in ("const0", "const1"):
-            return int(node.kind == "const1")
-        if node.kind == "lit":
-            return 2 * node.var + 2 + node.negated
-        if node.kind == "not":
-            return compile_node(node.children[0]) ^ 1
-        negate = {"and": 0, "or": 1}[node.kind]
-        codes = [compile_node(child) ^ negate for child in node.children]
-        while len(codes) > 1:
-            paired = []
-            for i in range(0, len(codes) - 1, 2):
-                program.extend((codes[i], codes[i + 1]))
-                paired.append(2 * nvars + len(program))
-            codes = paired + codes[len(paired) * 2:]
-        return codes[0] ^ negate
-
-    program.append(compile_node(factored_form(table, nvars)))
-    return tuple(program)
+    offset_table = ~table & tt_mask(nvars)
+    onset: list[int] = []
+    offset: list[int] = []
+    code, literals = factor_cover(isop(table, table, nvars), nvars, onset)
+    offset_code, offset_literals = factor_cover(
+        isop(offset_table, offset_table, nvars), nvars, offset)
+    if offset_literals < literals:
+        return (*offset, offset_code ^ 1)
+    return (*onset, code)
 
 
 def build_within(aig: AIG, program: tuple[int, ...], leaf_literals: list[int],

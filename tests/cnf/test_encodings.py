@@ -173,9 +173,9 @@ def _isop_clauses(table, nvars):
     clauses = []
     for function, output in ((table & mask, nvars + 1),
                              (~table & mask, -(nvars + 1))):
-        for cube in isop(function, function, nvars):
-            clause = [(i + 1) if cube.neg_mask >> i & 1 else -(i + 1)
-                      for i in range(nvars) if (cube.pos_mask | cube.neg_mask) >> i & 1]
+        for pos_mask, neg_mask in isop(function, function, nvars):
+            clause = [(i + 1) if neg_mask >> i & 1 else -(i + 1)
+                      for i in range(nvars) if (pos_mask | neg_mask) >> i & 1]
             clauses.append((*clause, output))
     return tuple(clauses)
 

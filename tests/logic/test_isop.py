@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import TruthTableError
-from repro.logic.isop import Cube, cover_to_tt, isop, isop_cube_count
+from repro.logic.isop import cover_to_tt, isop
 from repro.logic.truthtable import (
     tt_and,
     tt_mask,
@@ -16,51 +16,40 @@ from repro.logic.truthtable import (
 )
 
 
-class TestCube:
-    def test_rejects_conflicting_literal(self):
-        with pytest.raises(TruthTableError):
-            Cube(pos_mask=0b01, neg_mask=0b01)
+class TestCoverToTt:
+    def test_tautology_cube(self):
+        assert cover_to_tt([(0, 0)], 2) == tt_mask(2)
 
-    def test_literals_and_count(self):
-        cube = Cube(pos_mask=0b001, neg_mask=0b100)
-        assert cube.num_literals == 2
-        assert cube.literals() == [(0, False), (2, True)]
+    def test_single_literal(self):
+        assert cover_to_tt([(0b10, 0)], 2) == tt_var(1, 2)
 
-    def test_contains_minterm(self):
-        cube = Cube(pos_mask=0b001, neg_mask=0b100)  # x0 & ~x2
-        assert cube.contains_minterm(0b001)
-        assert cube.contains_minterm(0b011)
-        assert not cube.contains_minterm(0b101)
-        assert not cube.contains_minterm(0b000)
-
-    def test_to_tt_tautology(self):
-        assert Cube(0, 0).to_tt(2) == tt_mask(2)
-
-    def test_to_tt_single_literal(self):
-        assert Cube(0b10, 0).to_tt(2) == tt_var(1, 2)
+    def test_mixed_polarity_cube(self):
+        # x0 & ~x2 holds exactly on the minterms with bit 0 set and bit 2 clear.
+        table = cover_to_tt([(0b001, 0b100)], 3)
+        assert table == sum(1 << m for m in range(8) if m & 1 and not m & 4)
 
 
 class TestIsop:
     def test_constants(self):
         assert isop(0, 0, 3) == []
         cover = isop(tt_mask(3), tt_mask(3), 3)
-        assert len(cover) == 1
-        assert cover[0] == Cube(0, 0)
+        assert cover == [(0, 0)]
 
     def test_and_gate_cover(self):
         and_tt = tt_and(tt_var(0, 2), tt_var(1, 2), 2)
         cover = isop(and_tt, and_tt, 2)
-        assert len(cover) == 1
+        assert cover == [(0b11, 0)]
         assert cover_to_tt(cover, 2) == and_tt
 
     def test_xor_needs_two_cubes(self):
         xor_tt = tt_xor(tt_var(0, 2), tt_var(1, 2), 2)
-        assert isop_cube_count(xor_tt, 2) == 2
+        assert len(isop(xor_tt, xor_tt, 2)) == 2
 
     def test_and_offset_has_two_cubes(self):
         # Paper Fig. 3: the AND gate has 2 cubes justifying output 0.
         and_tt = tt_and(tt_var(0, 2), tt_var(1, 2), 2)
-        assert isop_cube_count(tt_not(and_tt, 2), 2) == 2
+        nand_tt = tt_not(and_tt, 2)
+        assert sorted(isop(nand_tt, nand_tt, 2)) == [(0, 0b01), (0, 0b10)]
 
     def test_or_gate_cover(self):
         or_tt = tt_or(tt_var(0, 2), tt_var(1, 2), 2)

@@ -7,15 +7,15 @@ import pytest
 from repro.aig import AIG, lit_var
 from repro.aig.aiger import write_aiger
 from repro.aig.simulate import po_truth_tables
-from repro.logic.sop import factored_to_tt
-from repro.logic.truthtable import tt_mask
+from repro.logic.isop import isop
+from repro.logic.sop import factor_cover
+from repro.logic.truthtable import tt_mask, tt_var
 from repro.synthesis import apply_operation
 from repro.synthesis.resynth import (
     ReplacementPass,
     build_factored,
     build_within,
     cut_program,
-    factored_form,
 )
 from tests.helpers import random_aig
 from tests.synthesis.test_golden import INSTANCES, RECIPES
@@ -29,12 +29,8 @@ TABLES = {name: (nvars, table) for name, (nvars, table) in TABLES.items()
 
 
 @pytest.mark.parametrize("nvars, table", TABLES.values(), ids=TABLES.keys())
-def test_factored_form_evaluates_to_its_table(nvars, table):
-    assert factored_to_tt(factored_form(table, nvars), nvars) == table
-
-
-@pytest.mark.parametrize("nvars, table", TABLES.values(), ids=TABLES.keys())
 def test_compiled_program_matches_exhaustive_simulation(nvars, table):
+    """The program computes its table, and the dry run counts its new nodes."""
     program = cut_program(table, nvars)
     aig = AIG()
     leaves = [aig.add_pi() for _ in range(nvars)]
@@ -60,6 +56,39 @@ def test_compiled_program_matches_exhaustive_simulation(nvars, table):
     assert hash(program) == hash(cut_program(table, nvars))
     with pytest.raises(TypeError):
         program[0] = 0
+
+
+def _factored_polarity(table, nvars):
+    """The program of one polarity's factored ISOP cover, output code last."""
+    program = []
+    code, literals = factor_cover(isop(table, table, nvars), nvars, program)
+    return (*program, code), literals
+
+
+def test_offset_wins_when_it_has_fewer_literals():
+    # ~(ab + cd): the onset ~a(~c + ~d) + ~b(~c + ~d) has 6 literals and 5
+    # steps, the offset ab + cd has 4 literals and 3 steps.
+    nvars = 4
+    offset = (tt_var(0, nvars) & tt_var(1, nvars)) | (tt_var(2, nvars) & tt_var(3, nvars))
+    table = ~offset & tt_mask(nvars)
+    onset_program, onset_literals = _factored_polarity(table, nvars)
+    offset_program, offset_literals = _factored_polarity(offset, nvars)
+    assert (onset_literals, len(onset_program)) == (6, 11)
+    assert (offset_literals, len(offset_program)) == (4, 7)
+    program = cut_program(table, nvars)
+    assert program == (*offset_program[:-1], offset_program[-1] ^ 1)
+    assert len(program) == 7
+
+
+def test_a_literal_tie_keeps_the_onset():
+    # XOR: the onset a~b + ~ab and the offset ab + ~a~b both have 4 literals.
+    nvars = 2
+    table = tt_var(0, nvars) ^ tt_var(1, nvars)
+    onset_program, onset_literals = _factored_polarity(table, nvars)
+    offset_program, offset_literals = _factored_polarity(~table & tt_mask(nvars), nvars)
+    assert onset_literals == offset_literals == 4
+    assert onset_program[:-1] != offset_program[:-1]
+    assert cut_program(table, nvars) == onset_program
 
 
 def test_dry_run_reuses_existing_structure():
