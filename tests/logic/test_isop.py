@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import TruthTableError
-from repro.logic.isop import cover_to_tt, isop
+from repro.logic.isop import clause_template, cover_to_tt, isop
 from repro.logic.truthtable import (
     tt_and,
     tt_mask,
@@ -16,17 +16,26 @@ from repro.logic.truthtable import (
 )
 
 
-class TestCoverToTt:
-    def test_tautology_cube(self):
+class TestCube:
+    """Cubes are ``(pos_mask, neg_mask)`` int pairs."""
+
+    def test_to_tt_tautology(self):
         assert cover_to_tt([(0, 0)], 2) == tt_mask(2)
 
-    def test_single_literal(self):
+    def test_to_tt_single_literal(self):
         assert cover_to_tt([(0b10, 0)], 2) == tt_var(1, 2)
 
-    def test_mixed_polarity_cube(self):
+    def test_contains_minterm(self):
         # x0 & ~x2 holds exactly on the minterms with bit 0 set and bit 2 clear.
         table = cover_to_tt([(0b001, 0b100)], 3)
         assert table == sum(1 << m for m in range(8) if m & 1 and not m & 4)
+
+    def test_literals_and_count(self):
+        # The cover of x0 & ~x2 is that one cube; its clause lists the two
+        # literals in ascending variable order, then the output.
+        table = cover_to_tt([(0b001, 0b100)], 3)
+        assert isop(table, table, 3) == [(0b001, 0b100)]
+        assert clause_template(table, 3)[0] == (-1, 3, 4)
 
 
 class TestIsop:

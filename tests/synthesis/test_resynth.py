@@ -29,6 +29,18 @@ TABLES = {name: (nvars, table) for name, (nvars, table) in TABLES.items()
 
 
 @pytest.mark.parametrize("nvars, table", TABLES.values(), ids=TABLES.keys())
+def test_factored_form_evaluates_to_its_table(nvars, table):
+    """Both polarities' factored forms compute their function, not only the
+    one ``cut_program`` keeps."""
+    for function in (table, ~table & tt_mask(nvars)):
+        program, _ = _factored_polarity(function, nvars)
+        aig = AIG()
+        leaves = [aig.add_pi() for _ in range(nvars)]
+        aig.add_po(build_factored(aig, program, leaves))
+        assert po_truth_tables(aig) == [function]
+
+
+@pytest.mark.parametrize("nvars, table", TABLES.values(), ids=TABLES.keys())
 def test_compiled_program_matches_exhaustive_simulation(nvars, table):
     """The program computes its table, and the dry run counts its new nodes."""
     program = cut_program(table, nvars)
