@@ -337,30 +337,6 @@ class AIG:
                         stack.append(fanin_var)
         return visited
 
-    def mffc_size(self, var: int, fanout_counts: list[int] | None = None) -> int:
-        """Return the size of the maximum fanout-free cone rooted at ``var``.
-
-        The MFFC is the set of AND nodes that would become dangling if ``var``
-        were removed; it is the number of nodes a rewrite of ``var`` can save.
-        """
-        if not self.is_and(var):
-            return 0
-        if fanout_counts is None:
-            fanout_counts = self.fanout_counts()
-        reference = list(fanout_counts)
-        return self._deref_mffc(var, reference)
-
-    def _deref_mffc(self, var: int, reference: list[int]) -> int:
-        count = 1
-        lit0, lit1 = self.fanins(var)
-        for fanin_var in (lit_var(lit0), lit_var(lit1)):
-            if fanin_var == 0 or self._is_pi[fanin_var]:
-                continue
-            reference[fanin_var] -= 1
-            if reference[fanin_var] == 0:
-                count += self._deref_mffc(fanin_var, reference)
-        return count
-
     # ------------------------------------------------------------------ #
     # Copy / cleanup
     # ------------------------------------------------------------------ #
@@ -392,11 +368,11 @@ class AIG:
             if var not in used:
                 continue
             lit0, lit1 = self.fanins(var)
-            new0 = _map_literal(lit0, old_to_new)
-            new1 = _map_literal(lit1, old_to_new)
+            new0 = map_literal(lit0, old_to_new)
+            new1 = map_literal(lit1, old_to_new)
             old_to_new[var] = clone.add_and(new0, new1)
         for po, po_name in zip(self._pos, self._po_names):
-            clone.add_po(_map_literal(po, old_to_new), po_name)
+            clone.add_po(map_literal(po, old_to_new), po_name)
         return clone
 
     # ------------------------------------------------------------------ #
@@ -419,7 +395,7 @@ class AIG:
             )
 
 
-def _map_literal(literal: int, old_to_new: dict[int, int]) -> int:
-    """Translate ``literal`` through a var->literal mapping built during copy."""
+def map_literal(literal: int, old_to_new: dict[int, int]) -> int:
+    """Translate ``literal`` through a var->literal map into a rebuilt AIG."""
     mapped = old_to_new[lit_var(literal)]
     return lit_not(mapped) if lit_is_complemented(literal) else mapped

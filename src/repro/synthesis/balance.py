@@ -10,7 +10,7 @@ tends to produce better LUT mappings.
 
 from __future__ import annotations
 
-from repro.aig.aig import AIG, CONST0, lit_is_complemented, lit_not, lit_var
+from repro.aig.aig import AIG, CONST0, lit_is_complemented, lit_var, map_literal
 
 #: Safety bound on how many operands a single super-gate may gather.
 _MAX_SUPER_GATE = 128
@@ -28,10 +28,6 @@ def balance(aig: AIG) -> AIG:
 
     def new_level(literal: int) -> int:
         return levels_new.get(lit_var(literal), 0)
-
-    def map_literal(literal: int) -> int:
-        mapped = old_to_new[lit_var(literal)]
-        return lit_not(mapped) if lit_is_complemented(literal) else mapped
 
     def collect_operands(var: int) -> list[int]:
         """Collect the operand literals of the AND super-gate rooted at ``var``.
@@ -58,7 +54,7 @@ def balance(aig: AIG) -> AIG:
 
     for var in aig.and_vars():
         operands = collect_operands(var)
-        mapped = [map_literal(op) for op in operands]
+        mapped = [map_literal(op, old_to_new) for op in operands]
         # Combine the two shallowest operands repeatedly to minimise depth.
         mapped.sort(key=new_level, reverse=True)
         while len(mapped) > 1:
@@ -77,5 +73,5 @@ def balance(aig: AIG) -> AIG:
         old_to_new[var] = mapped[0] if mapped else CONST0
 
     for po, po_name in zip(aig.pos, aig.po_names):
-        balanced.add_po(map_literal(po), po_name)
+        balanced.add_po(map_literal(po, old_to_new), po_name)
     return balanced.cleanup()

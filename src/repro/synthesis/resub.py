@@ -18,10 +18,10 @@ from __future__ import annotations
 
 from itertools import combinations, islice
 
-from repro.aig.aig import AIG, lit_not, lit_var
+from repro.aig.aig import AIG, lit_not
 from repro.logic.truthtable import tt_mask
 from repro.synthesis.cuts import reconvergence_cut, window_tables
-from repro.synthesis.resynth import ReplacementPass, cut_cone_gain
+from repro.synthesis.resynth import ReplacementPass, cut_cone_gain, replace_nodes
 
 
 #: Window cut size and the divisor cap per node.
@@ -31,25 +31,7 @@ MAX_DIVISORS = 20
 
 def resub(aig: AIG) -> AIG:
     """Return a resubstituted, functionally equivalent AIG."""
-    pass_state = ReplacementPass(aig)
-    aig = pass_state.aig  # private working copy; the input stays intact
-    fanout_counts = aig.fanout_counts()
-
-    for var in aig.and_vars():
-        lit0, lit1 = aig.fanins(var)
-        resolved0 = pass_state.resolve(lit0)
-        resolved1 = pass_state.resolve(lit1)
-        fanins_changed = resolved0 != lit0 or resolved1 != lit1
-
-        replacement = _find_resubstitution(aig, var, fanout_counts,
-                                           pass_state)
-
-        if replacement is not None and lit_var(replacement) != var:
-            pass_state.replace(var, replacement)
-        elif fanins_changed:
-            pass_state.replace(var, aig.add_and(resolved0, resolved1))
-
-    return pass_state.finalize()
+    return replace_nodes(aig, _find_resubstitution)
 
 
 def _find_resubstitution(aig: AIG, var: int, fanout_counts: list[int],

@@ -1,8 +1,20 @@
-"""Shared machinery for cut-based resynthesis (used by rewrite and refactor).
+"""Shared machinery of the node-replacement operators: rewrite, refactor, resub.
 
-Both rewriting and refactoring follow the same template:
+All three walk the AND nodes of a private copy of the AIG in topological
+order through one driver, :func:`replace_nodes`, and differ only in the
+*finder* that proposes a replacement literal for a node:
 
-1. pick a cut of a node and obtain the node's function over the cut leaves;
+* ``rewrite`` tries each 4-feasible cut of the node;
+* ``refactor`` tries the node's one reconvergence-driven cut of up to 10
+  leaves;
+* ``resub`` re-expresses the node over divisors of a window around it.
+
+The driver redirects the node to the finder's literal, or rebuilds it over
+its resolved fanins when it found none, and :meth:`ReplacementPass.finalize`
+applies the substitutions.  ``rewrite`` and ``refactor`` share one cut
+trial, :func:`cut_replacement`:
+
+1. take a cut of the node and the node's function over the cut leaves;
 2. resynthesise that function into a (hopefully smaller) AND/INV structure:
    ISOP covers of both polarities, each factored algebraically straight into
    a flat AND program (:func:`repro.logic.sop.factor_cover`), looked up in a
@@ -12,21 +24,19 @@ Both rewriting and refactoring follow the same template:
    would become dangling, minus the number of genuinely new AND nodes the
    program needs (nodes already present in the strash table are free;
    :func:`build_within` stops counting once the gain is too small);
-4. if the gain is positive, build the program and redirect all fanouts of
-   the node to the new literal.
-
-Steps 2--4 are implemented here so that the two operations only differ in how
-they choose cuts.
+4. if the gain is positive, build the program; its literal replaces the node.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable
 from functools import lru_cache
 
-from repro.aig.aig import AIG, CONST0, CONST1, lit_is_complemented, lit_not, lit_var
+from repro.aig.aig import AIG, CONST0, CONST1, lit_var, map_literal
 from repro.logic.isop import isop
 from repro.logic.sop import factor_cover
 from repro.logic.truthtable import tt_mask
+from repro.synthesis.cuts import cone_truth_table
 
 
 @lru_cache(maxsize=1 << 14)
@@ -135,6 +145,43 @@ def cut_cone_gain(aig: AIG, root: int, leaves: tuple[int, ...],
     return freed
 
 
+def cut_replacement(aig: AIG, var: int, fanout_counts: list[int],
+                    pass_state: ReplacementPass,
+                    cuts: Iterable[tuple[tuple[int, ...], int | None]],
+                    floor: int = 1) -> int | None:
+    """Return the literal of the best resynthesis of ``var`` over ``cuts``.
+
+    ``cuts`` yields ``(leaves, table)``: ``var``'s function over the leaves,
+    or None to collapse the cone, which is done only for a cut freeing
+    enough.  A cut wins when ``freed - added >= best_gain`` (1, then the
+    last winner's gain), so one freeing fewer than ``max(best_gain, floor)``
+    nodes is skipped before its table or program is computed, and the dry
+    run may add ``freed - best_gain``.  Cuts with fewer than 2 leaves, with ``var``
+    among them, or whose function is constant (left to constant
+    propagation) are skipped.  Returns None when no cut wins.
+    """
+    best_literal = None
+    best_gain = 1
+    for leaves, table in cuts:
+        if len(leaves) < 2 or var in leaves:
+            continue
+        freed = cut_cone_gain(aig, var, leaves, fanout_counts)
+        if freed < best_gain or freed < floor:
+            continue
+        nvars = len(leaves)
+        if table is None:
+            table = cone_truth_table(aig, var, leaves)
+        if table in (0, tt_mask(nvars)):
+            continue
+        built = build_within(aig, cut_program(table, nvars),
+                             pass_state.resolve_leaves(leaves),
+                             freed - best_gain)
+        if built is not None:
+            added, best_literal = built
+            best_gain = freed - added
+    return best_literal
+
+
 class ReplacementPass:
     """Bookkeeping for one replacement pass over a private copy of an AIG.
 
@@ -183,10 +230,6 @@ class ReplacementPass:
             return
         self._substitution[var] = resolved
 
-    @property
-    def num_replacements(self) -> int:
-        return len(self._substitution)
-
     def finalize(self) -> AIG:
         """Apply all substitutions and return an AIG without dangling nodes.
 
@@ -229,13 +272,9 @@ class ReplacementPass:
                 if pending:
                     stack.extend(pending)
                     continue
-                new_fanins = []
-                for resolved in fanin_mapped:
-                    mapped = old_to_new[lit_var(resolved)]
-                    if lit_is_complemented(resolved):
-                        mapped = lit_not(mapped)
-                    new_fanins.append(mapped)
-                old_to_new[var] = rebuilt.add_and(new_fanins[0], new_fanins[1])
+                old_to_new[var] = rebuilt.add_and(
+                    map_literal(fanin_mapped[0], old_to_new),
+                    map_literal(fanin_mapped[1], old_to_new))
                 stack.pop()
 
         for po, po_name in zip(self.aig.pos, self.aig.po_names):
@@ -243,12 +282,37 @@ class ReplacementPass:
             po_var = lit_var(resolved)
             if po_var not in old_to_new:
                 build(po_var)
-            mapped = old_to_new[po_var]
-            if lit_is_complemented(resolved):
-                mapped = lit_not(mapped)
-            rebuilt.add_po(mapped, po_name)
+            rebuilt.add_po(map_literal(resolved, old_to_new), po_name)
         # Every node is built on demand for a PO cone, so only a node that
         # maps to a constant (an AND folded by add_and, or a substitution)
         # can have stranded a fanin built for it.
         folded = any(literal < 2 for var, literal in old_to_new.items() if var)
         return rebuilt.cleanup() if folded else rebuilt
+
+
+def replace_nodes(aig: AIG,
+                  find: Callable[[AIG, int, list[int], ReplacementPass],
+                                 int | None]) -> AIG:
+    """Return ``aig`` with its AND nodes replaced where ``find`` proposes.
+
+    ``find`` sees each AND node of the pass's private copy once, in
+    topological order, with the copy, the node, the copy's fanout counts
+    before the pass and the pass itself; it may add nodes to the copy and
+    returns a literal computing the node, or None.  A literal other than
+    the node's own replaces it; otherwise a node whose fanins were replaced
+    is rebuilt over them.  The input AIG is never mutated.
+    """
+    pass_state = ReplacementPass(aig)
+    aig = pass_state.aig
+    fanout_counts = aig.fanout_counts()
+    for var in aig.and_vars():
+        replacement = find(aig, var, fanout_counts, pass_state)
+        if replacement is not None and lit_var(replacement) != var:
+            pass_state.replace(var, replacement)
+            continue
+        lit0, lit1 = aig.fanins(var)
+        resolved0 = pass_state.resolve(lit0)
+        resolved1 = pass_state.resolve(lit1)
+        if resolved0 != lit0 or resolved1 != lit1:
+            pass_state.replace(var, aig.add_and(resolved0, resolved1))
+    return pass_state.finalize()

@@ -11,14 +11,12 @@ only the fanout-free part of the old cone counts as freed.
 
 from __future__ import annotations
 
-from repro.aig.aig import AIG, lit_var
-from repro.logic.truthtable import tt_mask
+from repro.aig.aig import AIG
 from repro.synthesis.cuts import enumerate_cuts
 from repro.synthesis.resynth import (
     ReplacementPass,
-    build_within,
-    cut_cone_gain,
-    cut_program,
+    cut_replacement,
+    replace_nodes,
 )
 
 
@@ -29,42 +27,12 @@ MAX_CUTS = 8
 
 def rewrite(aig: AIG) -> AIG:
     """Return a rewritten, functionally equivalent AIG."""
-    pass_state = ReplacementPass(aig)
-    aig = pass_state.aig  # private working copy; the input stays intact
+    # The pass works on a copy with the same numbering, so these are its cuts.
     cuts = enumerate_cuts(aig, k=CUT_SIZE, max_cuts=MAX_CUTS)
-    fanout_counts = aig.fanout_counts()
 
-    for var in aig.and_vars():
-        lit0, lit1 = aig.fanins(var)
-        resolved0 = pass_state.resolve(lit0)
-        resolved1 = pass_state.resolve(lit1)
-        fanins_changed = resolved0 != lit0 or resolved1 != lit1
+    def find(copy: AIG, var: int, fanout_counts: list[int],
+             pass_state: ReplacementPass) -> int | None:
+        return cut_replacement(copy, var, fanout_counts, pass_state,
+                               [(cut.leaves, cut.table) for cut in cuts[var]])
 
-        best_literal = None
-        best_gain = 1
-        for cut in cuts[var]:
-            size = len(cut.leaves)  # 1 for the trivial cut (var,)
-            if size < 2:
-                continue
-            # Skip cuts whose function degenerates to a single leaf/constant:
-            # those are handled by constant propagation, not rewriting.
-            if cut.table in (0, tt_mask(size)):
-                continue
-            # A cut wins when freed - added >= best_gain, so one freeing
-            # less than best_gain cannot, and one may add freed - best_gain.
-            freed = cut_cone_gain(aig, var, cut.leaves, fanout_counts)
-            if freed < best_gain:
-                continue
-            built = build_within(aig, cut_program(cut.table, size),
-                                 pass_state.resolve_leaves(cut.leaves),
-                                 freed - best_gain)
-            if built is not None:
-                added, best_literal = built
-                best_gain = freed - added
-
-        if best_literal is not None and lit_var(best_literal) != var:
-            pass_state.replace(var, best_literal)
-        elif fanins_changed:
-            pass_state.replace(var, aig.add_and(resolved0, resolved1))
-
-    return pass_state.finalize()
+    return replace_nodes(aig, find)

@@ -179,27 +179,6 @@ class TestStructureQueries:
         assert lit_var(a) in cone
         assert lit_var(abc) in cone
 
-    def test_mffc_size(self):
-        aig = AIG()
-        a = aig.add_pi()
-        b = aig.add_pi()
-        c = aig.add_pi()
-        ab = aig.add_and(a, b)
-        abc = aig.add_and(ab, c)
-        aig.add_po(abc)
-        # Both AND nodes are in the MFFC of the root.
-        assert aig.mffc_size(lit_var(abc)) == 2
-        # If `ab` had another fanout it would not be in the MFFC.
-        aig2 = AIG()
-        a = aig2.add_pi()
-        b = aig2.add_pi()
-        c = aig2.add_pi()
-        ab = aig2.add_and(a, b)
-        abc = aig2.add_and(ab, c)
-        aig2.add_po(abc)
-        aig2.add_po(ab)
-        assert aig2.mffc_size(lit_var(abc)) == 1
-
 
 class TestCleanup:
     def test_cleanup_removes_dangling(self):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.aig import AIG
+from repro.aig import AIG, lit_var
 from repro.benchgen import (
     adder_equivalence_miter,
     atpg_instance,
@@ -318,6 +318,18 @@ class TestKernelOracles:
                         == _reference_cone_gain(family_aig, var, leaves, fanout_counts))
         assert fanout_counts == before
         assert cut_cone_gain(family_aig, family_aig.pis[0], (), fanout_counts) == 0
+
+    def test_cut_cone_gain_with_no_leaves_is_the_mffc_size(self):
+        aig = AIG()
+        a, b, c = aig.add_pi(), aig.add_pi(), aig.add_pi()
+        ab = aig.add_and(a, b)
+        abc = aig.add_and(ab, c)
+        aig.add_po(abc)
+        # Both AND nodes are in the fanout-free cone of the root.
+        assert cut_cone_gain(aig, lit_var(abc), (), aig.fanout_counts()) == 2
+        # A second fanout keeps `ab` out of it.
+        aig.add_po(ab)
+        assert cut_cone_gain(aig, lit_var(abc), (), aig.fanout_counts()) == 1
 
 
 class TestFaninArray:

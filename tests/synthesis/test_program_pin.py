@@ -16,14 +16,13 @@ speed.
 """
 
 import hashlib
-import importlib
 import random
 
 import pytest
 
 from repro.logic.isop import clause_template
 from repro.logic.truthtable import tt_mask
-from repro.synthesis import apply_operation
+from repro.synthesis import apply_operation, resynth
 from repro.synthesis.resynth import cut_program
 from tests.synthesis.test_golden import INSTANCES
 
@@ -46,17 +45,21 @@ def _seeded_tables():
 
 
 def _refactor_cone_tables(monkeypatch):
-    """The ``(nvars, table)`` pairs ``refactor`` looks up on the golden instances."""
+    """The ``(nvars, table)`` pairs ``refactor`` looks up on the golden instances.
+
+    The instances are built before the patch: building one runs ``rewrite``,
+    whose lookups go through the same shared cut trial.
+    """
+    circuits = [build() for build in INSTANCES.values()]
     seen = set()
 
     def recording_cut_program(table, nvars):
         seen.add((nvars, table))
         return cut_program(table, nvars)
 
-    monkeypatch.setattr(importlib.import_module("repro.synthesis.refactor"),
-                        "cut_program", recording_cut_program)
-    for build in INSTANCES.values():
-        apply_operation(build(), "refactor")
+    monkeypatch.setattr(resynth, "cut_program", recording_cut_program)
+    for aig in circuits:
+        apply_operation(aig, "refactor")
     return sorted(seen)
 
 

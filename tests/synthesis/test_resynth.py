@@ -1,4 +1,5 @@
-"""Tests for the process-wide cut-function library in ``repro.synthesis.resynth``."""
+"""Tests for ``repro.synthesis.resynth``: the cut-function library and the
+replacement driver."""
 
 import random
 
@@ -16,8 +17,9 @@ from repro.synthesis.resynth import (
     build_factored,
     build_within,
     cut_program,
+    replace_nodes,
 )
-from tests.helpers import random_aig
+from tests.helpers import functionally_equivalent, random_aig
 from tests.synthesis.test_golden import INSTANCES, RECIPES
 
 #: Seeded random truth tables, 12 per input count, constants excluded.
@@ -166,10 +168,13 @@ def test_dry_run_applies_add_and_rules(second):
     assert aig.num_ands == 0
 
 
+def _structure(aig):
+    return (list(aig.fanin_array), aig.pis, aig.pos, aig.pi_names,
+            aig.po_names)
+
+
 def _has_no_dangling_nodes(aig):
-    clean = aig.cleanup()
-    return (list(aig.fanin_array) == list(clean.fanin_array)
-            and aig.pos == clean.pos and aig.pis == clean.pis)
+    return _structure(aig) == _structure(aig.cleanup())
 
 
 @pytest.mark.parametrize("recipe_name", sorted(RECIPES))
@@ -195,3 +200,40 @@ def test_finalize_drops_a_fanin_stranded_by_a_folded_and():
     assert result.pos == [0]
     assert result.num_ands == 0
     assert _has_no_dangling_nodes(result)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("finder", ["none", "own literal"])
+def test_replace_nodes_without_replacements_is_cleanup(seed, finder):
+    aig = random_aig(num_pis=6, num_nodes=60, seed=seed)
+    before = _structure(aig)
+    seen = []
+
+    def find(copy, var, fanout_counts, pass_state):
+        assert copy is not aig
+        seen.append(var)
+        return None if finder == "none" else 2 * var
+
+    result = replace_nodes(aig, find)
+    assert seen == list(aig.and_vars())
+    assert _structure(result) == _structure(aig.cleanup())
+    assert _structure(aig) == before
+
+
+def test_replace_nodes_rebuilds_fanouts_over_the_replacement():
+    aig = AIG()
+    a, b, c = aig.add_pi(), aig.add_pi(), aig.add_pi()
+    ab = aig.add_and(a, b)
+    redundant = aig.add_and(ab, a)  # computes ab again
+    aig.add_po(aig.add_and(redundant, c))
+    before = _structure(aig)
+
+    def find(copy, var, fanout_counts, pass_state):
+        return ab if var == lit_var(redundant) else None
+
+    result = replace_nodes(aig, find)
+    assert result.num_ands == 2
+    root = lit_var(result.pos[0])
+    assert sorted(result.fanins(root)) == sorted((ab, c))
+    assert functionally_equivalent(result, aig)
+    assert _structure(aig) == before
