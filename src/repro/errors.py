@@ -16,8 +16,6 @@ cannot cause retry storms.
 
 from __future__ import annotations
 
-from concurrent.futures.process import BrokenProcessPool
-
 __all__ = [
     "ReproError",
     "TransientError",
@@ -60,7 +58,6 @@ _TRANSIENT_BUILTINS = (
     EOFError,
     MemoryError,
     TimeoutError,
-    BrokenProcessPool,
 )
 
 

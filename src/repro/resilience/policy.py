@@ -103,9 +103,9 @@ class Supervisor:
         this returns, so the caller can re-execute immediately.  ``transient``
         overrides classification for failures with no exception object
         (e.g. a silently dead worker — transient by definition).  Callers
-        batching many failures at once (a broken pool fails every pending
-        task together) pass ``wait=False`` and sleep one :meth:`backoff`
-        themselves, instead of stacking one delay per task.
+        that must not block (the server's event loop) pass ``wait=False``
+        and schedule the retry after ``policy.delay(attempt, key)``
+        themselves.
         """
         self._attempts[key] += 1
         attempt = self._attempts[key]
@@ -133,17 +133,6 @@ class Supervisor:
         if wait and delay > 0:
             self._sleep(delay)
         return True
-
-    def backoff(self, key: str) -> None:
-        """Sleep the backoff for ``key``'s current attempt count.
-
-        Companion to ``note_failure(..., wait=False)``: after batching the
-        per-task bookkeeping, sleep once before the shared re-execution.
-        """
-        attempt = max(1, self._attempts[key])
-        delay = self.policy.delay(attempt, key)
-        if delay > 0:
-            self._sleep(delay)
 
     def call(self, fn: Callable[[], object], key: str):
         """Run ``fn`` under this supervisor, retrying transient failures."""

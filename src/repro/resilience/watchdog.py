@@ -16,8 +16,8 @@ Like the tracer, the active watchdog is process-global
 (:func:`set_watchdog` / :func:`get_watchdog`) — but deliberately *without*
 a pid check: portfolio workers are forked from the parent and are exactly
 the processes the limit is meant to police, so inheritance is the point.
-Process-pool workers (which do not fork per task) install their own via
-:func:`install_worker_limits` in the pool initializer.
+Pool workers (:mod:`repro.runner.pool`, which do not fork per task)
+install their own via :func:`install_worker_limits` as they start.
 """
 
 from __future__ import annotations
@@ -161,7 +161,7 @@ def use_watchdog(watchdog: Watchdog | None):
 
 
 def install_worker_limits(mem_limit_mb: float | None) -> None:
-    """Pool-worker initializer: arm the rlimit and the soft watchdog."""
+    """Pool-worker setup: arm the rlimit and the soft watchdog."""
     if mem_limit_mb is None or mem_limit_mb <= 0:
         return
     set_rlimit_mb(mem_limit_mb)

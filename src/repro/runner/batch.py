@@ -1,7 +1,8 @@
 """Parallel batch execution with per-task hard timeouts and caching.
 
-:class:`BatchRunner` fans :class:`repro.runner.task.Task` objects out across
-a :class:`~concurrent.futures.ProcessPoolExecutor`:
+With ``jobs > 1``, :class:`BatchRunner` fans :class:`repro.runner.task.Task`
+objects out across the forked workers of a
+:class:`repro.runner.pool.WorkerPool`, one task per worker at a time:
 
 * **hard timeouts** — each worker arms a wall-clock alarm
   (``SIGALRM``/``setitimer``) before touching the task, so a hung or
@@ -18,15 +19,17 @@ a :class:`~concurrent.futures.ProcessPoolExecutor`:
 * **in-batch deduplication** — identical cells submitted twice in one batch
   execute once;
 * **supervision** — a worker process dying (OOM killer, SIGKILL, segfault)
-  breaks the pool, which is detected, rebuilt and the unfinished tasks
-  requeued under a bounded, backed-off retry budget
+  costs only the task it was running: that worker is reaped and replaced,
+  and its task is requeued under a bounded, backed-off retry budget
   (:class:`repro.resilience.Supervisor`) instead of aborting the batch;
-  tasks whose retries are exhausted become terminal ``ERROR`` runs.  With
-  ``mem_limit_mb`` set, every worker arms a soft memory watchdog (plus a
-  hard rlimit) so an OOM-bound task ends as a clean ``MEMOUT`` run rather
-  than a pool-level crash.  Store appends that fail are retried and, as a
-  last resort, dropped *visibly* (``resilience.store_errors`` counter) —
-  an unpersistable result never aborts the batch.
+  a task whose retries are exhausted becomes a terminal ``ERROR`` run.
+  With ``mem_limit_mb`` set, every worker arms a soft memory watchdog
+  (plus a hard rlimit) so an OOM-bound task ends as a clean ``MEMOUT`` run
+  rather than a worker death.  Store appends that fail are retried and,
+  as a last resort, dropped *visibly* (``resilience.store_errors``
+  counter) — an unpersistable result never aborts the batch;
+* **interrupts** — workers ignore SIGINT, so Ctrl-C reaches only the
+  parent, which kills and reaps every worker at once.
 
 Results are returned in task order regardless of completion order.
 """
@@ -40,32 +43,28 @@ import signal
 import tempfile
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from concurrent.futures.process import BrokenProcessPool
+from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
+from multiprocessing.connection import wait
 
 from repro.aig.aiger import write_aiger
 from repro.aig.sweep import sweep_aig
 from repro.cnf import write_dimacs
 from repro.core.pipeline import encode_aig, run_pipeline
 from repro.core.results import UNCACHED_STATUSES, InstanceRun
-from repro.errors import ReproError, ResourceLimitExceeded, is_transient
+from repro.errors import ReproError, ResourceLimitExceeded
 from repro.obs import Tracer, get_tracer, set_tracer
 from repro.resilience.chaos import get_chaos
-from repro.resilience.policy import RetryPolicy, Supervisor
-from repro.resilience.watchdog import (Watchdog, install_worker_limits,
-                                       use_watchdog)
+from repro.resilience.policy import Supervisor
+from repro.resilience.watchdog import Watchdog, use_watchdog
+from repro.runner.pool import CRASH_POLICY, WorkerPool
 from repro.runner.store import ResultStore, StoreError
 from repro.runner.task import Task, TaskError
 from repro.sat.configs import SolverConfig
 from repro.sat.stats import SolverStats
 
 logger = logging.getLogger(__name__)
-
-#: Retry policy used for worker-death requeues when the caller does not
-#: supply a supervisor: bounded pool rebuilds, never an aborted batch.
-_CRASH_POLICY = RetryPolicy(max_attempts=3, backoff_base=0.1, backoff_max=2.0)
 
 #: Attempts at persisting one result before it is (visibly) dropped.
 _STORE_ATTEMPTS = 3
@@ -193,13 +192,14 @@ def _run_task(task: Task, config: SolverConfig) -> InstanceRun:
     raise TaskError(f"unknown task kind {task.kind!r}")
 
 
-def _execute_task_traced(task: Task, trace_path: str | None) -> InstanceRun:
-    """Pool entry point: run the task under its own per-process tracer.
+def _execute_task_traced(message: tuple[Task, str | None]) -> InstanceRun:
+    """Worker entry point: run the task under its own per-process tracer.
 
     Pool workers cannot share the parent's tracer (see
     :func:`repro.obs.get_tracer`); each task writes its spans to its own
-    JSONL file, which the parent absorbs as the future completes.
+    JSONL file, which the parent absorbs as the result arrives.
     """
+    task, trace_path = message
     if trace_path is None:
         return execute_task(task)
     tracer = Tracer(trace_path, worker=f"pool-{os.getpid()}")
@@ -265,9 +265,9 @@ class BatchRunner:
 
     ``jobs`` is the worker-process count (``1`` executes in-process);
     ``store`` enables cache lookup and persistence.  ``supervisor`` governs
-    retries of tasks whose worker died or which failed transiently (pool
-    crashes are always survived — without a supervisor a conservative
-    default policy covers worker-death requeues).  ``mem_limit_mb`` arms a
+    retries of tasks whose worker died or which failed transiently (worker
+    deaths are always survived — without a supervisor a conservative
+    default policy covers their requeues).  ``mem_limit_mb`` arms a
     per-worker memory watchdog and hard rlimit so runaway tasks end as
     ``MEMOUT`` runs instead of summoning the OOM killer.
     """
@@ -372,132 +372,80 @@ class BatchRunner:
                 return run
 
     def _execute_pool(self, queue: dict[str, Task]) -> dict[str, InstanceRun]:
-        """Fan ``queue`` out across worker pools until every task is terminal.
+        """Run ``queue`` on a :class:`WorkerPool` until every task is terminal.
 
-        A pool whose worker dies abnormally (SIGKILL, segfault, OOM killer)
-        is broken beyond reuse: every pending future fails at once, so one
-        crash cannot identify its culprit.  Every unfinished task of the
-        broken generation is charged one attempt against the supervisor
-        (and the batch budget), the pool is rebuilt and the survivors
-        requeued.  Tasks down to their *last* attempt are then quarantined
-        into solo single-task generations — a crash there charges exactly
-        the task that caused it, so a persistently crashing task cannot
-        burn its siblings' final attempts.  Tasks denied a retry become
-        terminal ``ERROR`` runs; the batch itself always completes.
+        Each worker runs one task at a time, so a worker that dies
+        abnormally (SIGKILL, segfault, OOM killer) names the one task it
+        lost: that worker alone is reaped and replaced, and only its task
+        is charged one attempt against the supervisor.  The task is then
+        requeued, or ends as a terminal ``ERROR`` run once its retries are
+        spent; the batch itself always completes.  However the loop ends,
+        Ctrl-C included, every worker is killed and reaped before this
+        returns.
         """
         results: dict[str, InstanceRun] = {}
-        supervisor = self.supervisor or Supervisor(_CRASH_POLICY)
+        supervisor = self.supervisor or Supervisor(CRASH_POLICY)
         tracer = get_tracer()
         parent = tracer.current_span
         parent_id = parent.span_id if parent is not None else None
         trace_dir = tempfile.mkdtemp(prefix="repro-trace-") \
             if tracer.enabled else None
 
-        def key(fingerprint: str) -> str:
-            return f"task.{fingerprint[:16]}"
+        def trace_path(fingerprint: str) -> str | None:
+            if trace_dir is None:
+                return None
+            return os.path.join(trace_dir, f"{fingerprint[:16]}.jsonl")
 
-        last_attempt = max(1, supervisor.policy.max_attempts - 1)
+        todo = deque(queue)
+        pool = WorkerPool(_execute_task_traced, mem_limit_mb=self.mem_limit_mb)
         try:
-            while queue:
-                suspect = next(
-                    (fingerprint for fingerprint in queue
-                     if supervisor.attempts(key(fingerprint)) >= last_attempt),
-                    None)
-                round_queue = {suspect: queue[suspect]} \
-                    if suspect is not None else dict(queue)
-                broken = self._pool_round(round_queue, results, supervisor,
-                                          tracer, parent_id, trace_dir)
-                for fingerprint in list(queue):
-                    if fingerprint in results:
-                        del queue[fingerprint]
-                if not broken:
-                    # Tasks still queued were granted in-pool retries; loop.
-                    continue
-                tracer.metrics.counter("resilience.worker_deaths").inc()
-                tracer.metrics.counter("resilience.pool_rebuilds").inc()
-                tracer.event("pool_rebuild", pending=len(round_queue))
-                logger.warning(
-                    "worker died; rebuilding pool with %d unfinished tasks",
-                    len(round_queue))
-                for fingerprint, task in round_queue.items():
-                    # No exception object exists for the killed worker;
-                    # abnormal death is transient by definition.
-                    if not supervisor.note_failure(key(fingerprint),
-                                                   transient=True,
-                                                   wait=False):
-                        results[fingerprint] = self._finish(
-                            fingerprint, task,
-                            _aborted_run(task, "ERROR", 0.0))
-                        del queue[fingerprint]
-                if queue:
-                    # One shared backoff for the whole rebuilt generation,
-                    # not one per requeued task.
-                    supervisor.backoff(key(next(iter(queue))))
+            for _ in range(min(self.jobs, len(queue))):
+                pool.fork()
+            while todo or any(worker.job is not None
+                              for worker in pool.workers):
+                for worker in pool.workers:
+                    if worker.job is None and todo:
+                        worker.job = todo.popleft()
+                        try:
+                            worker.conn.send((queue[worker.job],
+                                              trace_path(worker.job)))
+                        except OSError:
+                            pass  # a dead worker: its EOF is read below
+                for conn in wait([worker.conn for worker in pool.workers]):
+                    worker = next(worker for worker in pool.workers
+                                  if worker.conn is conn)
+                    fingerprint, worker.job = worker.job, None
+                    try:
+                        run = conn.recv()
+                    except (EOFError, OSError):  # dead, even mid-message
+                        pool.reap(worker)
+                        pool.fork()
+                        for name in ("resilience.worker_deaths",
+                                     "resilience.pool_rebuilds"):
+                            tracer.metrics.counter(name).inc()
+                        tracer.event("pool_rebuild", task=fingerprint)
+                        logger.warning("worker died (task %s); replaced",
+                                       fingerprint)
+                        if fingerprint is None:
+                            continue  # an idle worker's death costs no task
+                        # A killed worker leaves no exception object;
+                        # abnormal death is transient by definition.
+                        if supervisor.note_failure(f"task.{fingerprint[:16]}",
+                                                   transient=True):
+                            todo.append(fingerprint)
+                            continue
+                        run = _aborted_run(queue[fingerprint], "ERROR", 0.0)
+                    else:
+                        if trace_dir is not None:
+                            tracer.absorb(trace_path(fingerprint),
+                                          parent_id=parent_id)
+                    results[fingerprint] = self._finish(
+                        fingerprint, queue[fingerprint], run)
         finally:
+            pool.stop()
             if trace_dir is not None:
                 shutil.rmtree(trace_dir, ignore_errors=True)
         return results
-
-    def _pool_round(self, queue: dict[str, Task],
-                    results: dict[str, InstanceRun], supervisor: Supervisor,
-                    tracer: Tracer, parent_id: str | None,
-                    trace_dir: str | None) -> bool:
-        """Run one pool generation over ``queue``; return True if it broke.
-
-        Completed tasks are popped from ``queue`` into ``results`` as their
-        futures resolve.  When the pool breaks, futures that finished before
-        the crash but were not yet collected are harvested so a dead worker
-        never discards a sibling's completed work.
-        """
-        futures: dict = {}
-        broken = False
-        with ProcessPoolExecutor(
-                max_workers=min(self.jobs, len(queue)),
-                initializer=install_worker_limits,
-                initargs=(self.mem_limit_mb,)) as pool:
-            for fingerprint, task in queue.items():
-                trace_path = os.path.join(
-                    trace_dir, f"{fingerprint[:16]}.jsonl") \
-                    if trace_dir is not None else None
-                future = pool.submit(_execute_task_traced, task, trace_path)
-                futures[future] = (fingerprint, trace_path)
-            for future in as_completed(futures):
-                fingerprint, trace_path = futures[future]
-                task = queue[fingerprint]
-                try:
-                    run = future.result()
-                except BrokenProcessPool:
-                    broken = True
-                    break
-                except Exception as exc:
-                    # The worker survived but the task's result did not
-                    # (pickling failure, lost pipe): supervise it like any
-                    # other transient fault.
-                    logger.exception("task %s failed in pool",
-                                     fingerprint[:16])
-                    if (is_transient(exc) and supervisor.note_failure(
-                            f"task.{fingerprint[:16]}", exc, wait=False)):
-                        continue  # stays queued for the next generation
-                    run = _aborted_run(task, "ERROR", 0.0)
-                results[fingerprint] = self._finish(fingerprint, task, run)
-                del queue[fingerprint]
-                if trace_path is not None:
-                    tracer.absorb(trace_path, parent_id=parent_id)
-        if broken:
-            # Harvest results that completed before the pool broke.
-            for future, (fingerprint, trace_path) in futures.items():
-                if fingerprint not in queue or not future.done():
-                    continue
-                try:
-                    run = future.result()
-                except Exception:
-                    continue  # this future carries the crash, not a result
-                results[fingerprint] = self._finish(fingerprint,
-                                                    queue.pop(fingerprint),
-                                                    run)
-                if trace_path is not None:
-                    tracer.absorb(trace_path, parent_id=parent_id)
-        return broken
 
     def _finish(self, fingerprint: str, task: Task,
                 run: InstanceRun) -> InstanceRun:

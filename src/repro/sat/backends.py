@@ -64,6 +64,7 @@ __all__ = [
     "INTERNAL_NAMES",
     "DEFAULT_BACKEND",
     "is_internal",
+    "compose_progress",
     "fold_portfolio_flags",
     "get_backend",
     "resolve_backend",
@@ -126,25 +127,39 @@ class SolverBackend(Protocol):
         ...
 
 
-def _compose_progress(tracer, progress, watchdog=None):
-    """Fold watchdog, tracer and caller callback into one progress hook.
+def compose_progress(tracer, extra=None,
+                     extra_interval: int = DEFAULT_PROGRESS_INTERVAL):
+    """Fold the watchdog, the tracer and ``extra`` into one progress hook.
 
-    Returns ``None`` when none of them wants snapshots, so the solver's
-    progress machinery stays fully disarmed on the common path.  The
-    watchdog runs first: a resource trip should win over bookkeeping.
+    Returns ``(hook, interval)``: the hook is ``None`` when none of them
+    wants snapshots, so the solver's progress machinery stays disarmed on
+    the common path.  The process-global watchdog runs first, so a
+    resource trip wins over bookkeeping, and its tighter sampling interval
+    applies; ``extra`` (a caller's callback, a chaos kill hook) may ask
+    for a tighter one still with ``extra_interval``.
     """
-    if watchdog is None and not tracer.enabled and progress is None:
-        return progress
+    consumers = []
+    interval = DEFAULT_PROGRESS_INTERVAL
+    watchdog = get_watchdog()
+    if watchdog is not None:
+        consumers.append(watchdog.hook)
+        interval = WATCHDOG_PROGRESS_INTERVAL
+    if tracer.enabled:
+        consumers.append(lambda snapshot: tracer.event("progress",
+                                                       **snapshot.as_dict()))
+    if extra is not None:
+        consumers.append(extra)
+        interval = min(interval, extra_interval)
+    if not consumers:
+        return None, interval
+    if len(consumers) == 1:
+        return consumers[0], interval
 
     def hook(snapshot):
-        if watchdog is not None:
-            watchdog.check()
-        if tracer.enabled:
-            tracer.event("progress", **snapshot.as_dict())
-        if progress is not None:
-            progress(snapshot)
+        for consumer in consumers:
+            consumer(snapshot)
 
-    return hook
+    return hook, interval
 
 
 class InternalBackend:
@@ -181,9 +196,7 @@ class InternalBackend:
         ``MEMOUT`` as well.
         """
         tracer = get_tracer()
-        watchdog = get_watchdog()
-        progress_interval = DEFAULT_PROGRESS_INTERVAL if watchdog is None \
-            else WATCHDOG_PROGRESS_INTERVAL
+        progress, progress_interval = compose_progress(tracer, self.progress)
         logger.debug("internal solve: %d vars, %d clauses",
                      cnf.num_vars, len(cnf.clauses))
         with tracer.span("solve", backend=self.name, num_vars=cnf.num_vars,
@@ -194,8 +207,7 @@ class InternalBackend:
                                    max_conflicts=max_conflicts,
                                    max_decisions=max_decisions,
                                    assumptions=assumptions, proof=proof,
-                                   progress=_compose_progress(
-                                       tracer, self.progress, watchdog),
+                                   progress=progress,
                                    progress_interval=progress_interval)
             except MemoryError:
                 result = SolveResult(

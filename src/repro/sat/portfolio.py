@@ -81,15 +81,13 @@ from repro.cnf.cnf import Cnf
 from repro.errors import SolverError, is_transient
 from repro.obs import NULL_TRACER, Tracer, get_tracer
 from repro.resilience.chaos import get_chaos
-from repro.resilience.watchdog import (WATCHDOG_PROGRESS_INTERVAL,
-                                       get_watchdog)
+from repro.sat.backends import compose_progress
 from repro.sat.configs import SolverConfig, cadical_like, kissat_like
 from repro.sat.proof import (LemmaStream, ProofError, cube_prefix_clauses,
                              merge_lemma_streams, read_lemma_stream,
                              write_drat_file)
 from repro.sat.sharing import ClauseBus, SharingConfig
-from repro.sat.solver import (DEFAULT_PROGRESS_INTERVAL, CdclSolver,
-                              SolveResult)
+from repro.sat.solver import CdclSolver, SolveResult
 from repro.sat.stats import SolverStats
 
 logger = logging.getLogger(__name__)
@@ -315,42 +313,6 @@ def _worker_tracer(trace_path, index: int):
 _CHAOS_PROGRESS_INTERVAL = 16
 
 
-def _install_worker_hooks(solver: CdclSolver, tracer, index: int) -> None:
-    """Arm the worker solver's progress hook with whatever wants samples.
-
-    Three optional consumers share the one hook: the worker tracer
-    (progress events), the inherited process-global watchdog (memory
-    ceiling / deadline, trips become clean MEMOUT/TIMEOUT results) and the
-    chaos harness's kill hook (deterministic worker death for the
-    resilience tests).  With none of them active the solver's progress
-    machinery stays disarmed.
-    """
-    hooks = []
-    interval = DEFAULT_PROGRESS_INTERVAL
-    if tracer.enabled:
-        hooks.append(lambda snapshot: tracer.event("progress",
-                                                   **snapshot.as_dict()))
-    watchdog = get_watchdog()
-    if watchdog is not None:
-        hooks.append(watchdog.hook)
-        interval = min(interval, WATCHDOG_PROGRESS_INTERVAL)
-    killer = get_chaos().progress_killer(index)
-    if killer is not None:
-        hooks.append(killer)
-        interval = min(interval, _CHAOS_PROGRESS_INTERVAL)
-    if not hooks:
-        return
-    if len(hooks) == 1:
-        solver.set_progress(hooks[0], interval=interval)
-        return
-
-    def hook(snapshot):
-        for consumer in hooks:
-            consumer(snapshot)
-
-    solver.set_progress(hook, interval=interval)
-
-
 def _cube_worker(index: int, cnf: Cnf, config: SolverConfig,
                  cubes: list[list[int]], time_limit: float | None,
                  max_conflicts: int | None, max_decisions: int | None,
@@ -379,7 +341,9 @@ def _cube_worker(index: int, cnf: Cnf, config: SolverConfig,
         # One incremental session per worker: learned clauses, activities
         # and phases persist across this worker's cubes.
         solver = CdclSolver(cnf, config=config)
-        _install_worker_hooks(solver, tracer, index)
+        solver.set_progress(*compose_progress(
+            tracer, get_chaos().progress_killer(index),
+            _CHAOS_PROGRESS_INTERVAL))
         if stream is not None:
             solver.set_proof(stream)
         if endpoint is not None:

@@ -917,6 +917,16 @@ class CdclSolver:
         call's share of the cumulative statistics).
         """
         start_time = time.perf_counter()
+        try:
+            return self._search(start_time, max_conflicts, max_decisions,
+                                time_limit, assumptions)
+        finally:
+            self.stats.solve_time = time.perf_counter() - start_time
+
+    def _search(self, start_time: float, max_conflicts: int | None,
+                max_decisions: int | None, time_limit: float | None,
+                assumptions: list[int] | None) -> SolveResult:
+        """The body of :meth:`solve`, which times it."""
         stats = self.stats
         assumption_lits = (self._convert_assumptions(assumptions)
                            if assumptions else [])
@@ -924,13 +934,11 @@ class CdclSolver:
             # The inconsistency was found by level-0 simplification, so the
             # empty clause is RUP against the raw formula: a one-line proof.
             self._emit_empty_proof()
-            stats.solve_time = time.perf_counter() - start_time
             return SolveResult(status="UNSAT", model=None, stats=stats,
                                core=[])
         self._backtrack(0)
         if self._import_source is not None and not self._drain_imports():
             self._emit_empty_proof()
-            stats.solve_time = time.perf_counter() - start_time
             return SolveResult(status="UNSAT", model=None, stats=stats,
                                core=[])
         conflicts_start = stats.conflicts
@@ -957,7 +965,6 @@ class CdclSolver:
                     # inconsistent, independent of any assumptions.
                     self._ok = False
                     self._emit_empty_proof()
-                    stats.solve_time = time.perf_counter() - start_time
                     return SolveResult(status="UNSAT", model=None,
                                        stats=stats, core=[])
                 learned, backtrack_level, lbd = self._analyze(conflict)
@@ -984,17 +991,13 @@ class CdclSolver:
                             # callback tripped: stop cleanly with the
                             # watchdog's terminal status (MEMOUT/TIMEOUT)
                             # instead of propagating through the caller.
-                            stats.solve_time = (time.perf_counter()
-                                                - start_time)
                             return SolveResult(status=trip.status,
                                                model=None, stats=stats)
                 if max_conflicts is not None and \
                         stats.conflicts - conflicts_start >= max_conflicts:
-                    stats.solve_time = time.perf_counter() - start_time
                     return SolveResult(status="UNKNOWN", model=None, stats=stats)
                 if time_limit is not None and \
                         time.perf_counter() - start_time > time_limit:
-                    stats.solve_time = time.perf_counter() - start_time
                     return SolveResult(status="UNKNOWN", model=None, stats=stats)
                 continue
 
@@ -1006,7 +1009,6 @@ class CdclSolver:
                 if self._import_source is not None \
                         and not self._drain_imports():
                     self._emit_empty_proof()
-                    stats.solve_time = time.perf_counter() - start_time
                     return SolveResult(status="UNSAT", model=None,
                                        stats=stats, core=[])
                 if conflicts_since_reduce >= self.config.reduce_interval:
@@ -1016,11 +1018,9 @@ class CdclSolver:
 
             if max_decisions is not None and \
                     stats.decisions - decisions_start >= max_decisions:
-                stats.solve_time = time.perf_counter() - start_time
                 return SolveResult(status="UNKNOWN", model=None, stats=stats)
             if time_limit is not None and \
                     time.perf_counter() - start_time > time_limit:
-                stats.solve_time = time.perf_counter() - start_time
                 return SolveResult(status="UNKNOWN", model=None, stats=stats)
 
             # Assert the next pending assumption (restarts unwind them, so
@@ -1036,7 +1036,6 @@ class CdclSolver:
                     continue
                 if value == _FALSE:
                     core = self._analyze_final(literal)
-                    stats.solve_time = time.perf_counter() - start_time
                     return SolveResult(status="UNSAT", model=None,
                                        stats=stats, core=core)
                 self._trail_lim.append(len(self._trail))
@@ -1053,7 +1052,6 @@ class CdclSolver:
                 lit_val = self._lit_val
                 model = {var + 1: lit_val[2 * var] == _TRUE
                          for var in range(self.num_vars)}
-                stats.solve_time = time.perf_counter() - start_time
                 return SolveResult(status="SAT", model=model, stats=stats)
 
     def _next_restart_budget(self, restart_count: int) -> float:

@@ -5,10 +5,11 @@ serve``.  It owns ``jobs`` forked worker processes, kept warm across
 requests, and dispatches accepted jobs to them from the asyncio event
 loop.
 
-**Worker model.**  Each worker owns one duplex :mod:`multiprocessing`
-pipe and loops: receive a :class:`~repro.runner.task.Task`, run it
-through :func:`repro.server.jobs.execute_job`, send back the result
-dict.  A worker is either idle or owns exactly one job, so dispatch is a
+**Worker model.**  The workers are a :class:`repro.runner.pool.WorkerPool`,
+the batch runner's own: each owns one duplex pipe and loops: receive a
+:class:`~repro.runner.task.Task`, run it through
+:func:`repro.server.jobs.execute_job`, send back the result dict.  A
+worker is either idle or owns exactly one job, so dispatch is a
 synchronous "start queued jobs while a worker is idle", run whenever a
 job is queued or settles.  The event loop watches every pipe with
 ``loop.add_reader``: a job costs one pickle each way and no executor
@@ -57,15 +58,10 @@ metrics registry and are exposed by the HTTP layer's ``/metricsz``.
 from __future__ import annotations
 
 import asyncio
-import atexit
 import logging
-import multiprocessing
-import signal
 import time
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field, replace
-from multiprocessing.connection import Connection
-from multiprocessing.process import BaseProcess
 from typing import Callable
 
 from repro.core.results import UNCACHED_STATUSES
@@ -73,8 +69,8 @@ from repro.errors import ReproError
 from repro.obs import get_tracer
 from repro.obs.metrics import MetricsRegistry
 from repro.resilience.chaos import get_chaos
-from repro.resilience.policy import RetryPolicy, Supervisor
-from repro.resilience.watchdog import install_worker_limits
+from repro.resilience.policy import Supervisor
+from repro.runner.pool import CRASH_POLICY, Worker, WorkerPool
 from repro.runner.store import StoreError
 from repro.runner.task import SCHEMA_VERSION, Task, default_hard_timeout
 from repro.server.jobs import execute_job
@@ -88,10 +84,6 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-#: Worker-death retry budget per job (mirrors the batch runner's policy).
-_CRASH_POLICY = RetryPolicy(max_attempts=3, backoff_base=0.1,
-                            backoff_max=2.0)
-
 #: Attempts at persisting one result before dropping it visibly.
 _STORE_ATTEMPTS = 3
 
@@ -104,40 +96,14 @@ TERMINAL_STATES = ("done", "cancelled")
 #: Client quota buckets kept before refilled ones are dropped.
 _MAX_BUCKETS = 1024
 
-#: Workers are forked: they inherit the registered pipelines and the
-#: chaos/trace state of the server, as the batch runner's workers do.
-_FORK = multiprocessing.get_context("fork")
-
-
-def _worker_main(conn: Connection, inherited: list[Connection],
-                 mem_limit_mb: float | None) -> None:
-    """A worker's life: receive a task, send back its result, repeat.
-
-    Runs in the forked child.  It closes the copies of the parent's pipe
-    ends it inherited, so it sees EOF, and exits, once the server is
-    gone.  It also takes back the signal dispositions the server's event
-    loop replaced: SIGTERM stops it, and SIGINT is left to the server,
-    which drains and then terminates its workers.
-    """
-    for other in inherited:
-        other.close()
-    signal.set_wakeup_fd(-1)
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    install_worker_limits(mem_limit_mb)
-    while True:
-        try:
-            task = conn.recv()
-        except EOFError:
-            return
-        try:
-            result = execute_job(task)
-        except Exception as error:  # noqa: BLE001 - answer, never die
-            logger.exception("job %s failed in its worker",
-                             task.instance_name)
-            result = {"kind": task.kind, "status": "ERROR",
-                      "error": f"internal worker error: {error}"}
-        conn.send(result)
+def _run_job(task: Task) -> dict:
+    """A worker's answer to one task: its result dict, never an exception."""
+    try:
+        return execute_job(task)
+    except Exception as error:  # noqa: BLE001 - answer, never die
+        logger.exception("job %s failed in its worker", task.instance_name)
+        return {"kind": task.kind, "status": "ERROR",
+                "error": f"internal worker error: {error}"}
 
 
 class AdmissionError(ReproError):
@@ -213,15 +179,6 @@ class Job:
             self._callbacks.remove(callback)
 
 
-@dataclass(eq=False)
-class _Worker:
-    """One forked worker process and the server's end of its pipe."""
-
-    process: BaseProcess
-    conn: Connection
-    job: Job | None = None      # running, or held for a retry's backoff
-
-
 class SolveService:
     """Admission control + dispatch + supervised workers, transport-free.
 
@@ -253,9 +210,9 @@ class SolveService:
         self.draining = False
         tracer = get_tracer()
         self.metrics = tracer.metrics if tracer.enabled else MetricsRegistry()
-        self.supervisor = Supervisor(_CRASH_POLICY, sleep=lambda _s: None)
+        self.supervisor = Supervisor(CRASH_POLICY, sleep=lambda _s: None)
         self._loop: asyncio.AbstractEventLoop | None = None
-        self._workers: list[_Worker] = []
+        self._pool = WorkerPool(_run_job, mem_limit_mb=mem_limit_mb)
         self._pool_generation = 0
         self._queue: deque[Job] = deque()
         self._active: set[Job] = set()
@@ -282,11 +239,8 @@ class SolveService:
             return
         self._loop = asyncio.get_running_loop()
         for _ in range(self.jobs):
-            self._workers.append(self._fork_worker())
+            self._fork_worker()
         self._pool_generation += 1
-        # Runs before multiprocessing's own exit hook, which would join
-        # workers still blocked on a pipe the server holds open.
-        atexit.register(self._stop_workers)
         self._dispatch()  # submissions accepted before start
 
     async def shutdown(self, grace: float = 10.0) -> None:
@@ -317,37 +271,23 @@ class SolveService:
     # ------------------------------------------------------------------ #
     # Workers
 
-    def _fork_worker(self) -> _Worker:
+    @property
+    def _workers(self) -> list[Worker]:
+        return self._pool.workers
+
+    def _fork_worker(self) -> Worker:
         """Fork one worker and watch its pipe from the event loop."""
         assert self._loop is not None
-        ours, theirs = _FORK.Pipe()
-        inherited = [ours] + [worker.conn for worker in self._workers]
-        process = _FORK.Process(
-            target=_worker_main, name="repro-server-worker",
-            args=(theirs, inherited, self.default_mem_limit_mb))
-        process.start()
-        theirs.close()
-        worker = _Worker(process, ours)
-        self._loop.add_reader(ours.fileno(), self._on_reply, worker)
+        worker = self._pool.fork()
+        self._loop.add_reader(worker.conn.fileno(), self._on_reply, worker)
         return worker
 
-    def _reap(self, worker: _Worker) -> None:
-        """Kill ``worker``, stop watching its pipe and wait for its exit.
-
-        SIGKILL, not SIGTERM: a worker forked after the event loop took
-        over SIGTERM ignores it until it has reset the disposition.
-        """
-        worker.process.kill()
+    def _replace(self, worker: Worker, error: BaseException) -> None:
+        """A worker died: reap it, fork its successor, retry its job."""
         assert self._loop is not None
         self._loop.remove_reader(worker.conn.fileno())
-        worker.conn.close()
-        worker.process.join()
-
-    def _replace(self, worker: _Worker, error: BaseException) -> None:
-        """A worker died: reap it, fork its successor, retry its job."""
-        self._reap(worker)
+        self._pool.reap(worker)
         fresh = self._fork_worker()
-        self._workers[self._workers.index(worker)] = fresh
         self._pool_generation += 1
         self.metrics.counter("server.pool_rebuilds").inc()
         logger.warning("worker %d died (%s); replaced (generation %d)",
@@ -359,10 +299,10 @@ class SolveService:
 
     def _stop_workers(self) -> None:
         """Reap every worker: none outlives the service."""
-        atexit.unregister(self._stop_workers)
-        workers, self._workers = self._workers, []
-        for worker in workers:
-            self._reap(worker)
+        for worker in self._workers:
+            assert self._loop is not None
+            self._loop.remove_reader(worker.conn.fileno())
+        self._pool.stop()
 
     # ------------------------------------------------------------------ #
     # Admission
@@ -544,7 +484,7 @@ class SolveService:
             self.metrics.gauge("server.queued").set(len(self._queue))
             self._send(worker)
 
-    def _send(self, worker: _Worker) -> None:
+    def _send(self, worker: Worker) -> None:
         """Hand ``worker`` its job: one pickle down the pipe."""
         if worker not in self._workers:
             return  # stopped or replaced during a retry's backoff
@@ -560,7 +500,7 @@ class SolveService:
         except OSError as error:
             self._replace(worker, error)
 
-    def _on_reply(self, worker: _Worker) -> None:
+    def _on_reply(self, worker: Worker) -> None:
         """``worker``'s pipe is readable: its job's result, or its death."""
         try:
             result = worker.conn.recv()
@@ -571,7 +511,7 @@ class SolveService:
         assert job is not None
         self._finish_job(job, result)
 
-    def _retry(self, worker: _Worker, job: Job, error: BaseException) -> None:
+    def _retry(self, worker: Worker, job: Job, error: BaseException) -> None:
         """Resend ``job`` on ``worker`` after a backoff, within budget.
 
         Exhausting the retry budget produces a terminal ``ERROR`` result;

@@ -10,9 +10,11 @@ is expressible.
 """
 
 import multiprocessing
+import time
 
 import pytest
 
+from repro.core.pipeline import PIPELINES, baseline_pipeline
 from repro.obs import read_trace, use_tracer, Tracer
 from repro.resilience import RetryPolicy, Supervisor
 from repro.resilience.chaos import CHAOS_ENV, use_chaos
@@ -69,6 +71,29 @@ class TestWorkerDeath:
         assert all(status in ("SAT", "UNSAT")
                    for name, status in statuses.items() if name != "victim-1")
         assert "task." in supervisor.gave_up[0]
+
+    @pytest.mark.skipif(not _FORK, reason="slow pipeline needs fork workers")
+    def test_worker_death_charges_only_its_own_task(self, tmp_path,
+                                                    monkeypatch):
+        """The bystander is still running when the victim's worker dies;
+        only the victim's task is charged an attempt."""
+        def slow_pipeline(aig):
+            time.sleep(0.5)
+            return baseline_pipeline(aig)
+
+        monkeypatch.setitem(PIPELINES, "__slow__", slow_pipeline)
+        monkeypatch.setenv(CHAOS_ENV,
+                           f"kill_task=victim,flags={tmp_path / 'flags'}")
+        aig = random_aig(num_pis=4, num_nodes=14, seed=7)
+        tasks = [Task.from_aig(aig, "__slow__", instance_name="bystander",
+                               time_limit=10.0),
+                 Task.from_aig(aig, "Baseline", instance_name="victim",
+                               time_limit=10.0)]
+        supervisor = quiet_supervisor()
+        report = BatchRunner(jobs=2, supervisor=supervisor).run(tasks)
+        assert all(run.status in ("SAT", "UNSAT") for run in report.runs)
+        assert [supervisor.attempts(f"task.{task.fingerprint()[:16]}")
+                for task in tasks] == [0, 1]
 
     def test_worker_death_emits_obs_events_and_counters(self, tmp_path,
                                                         monkeypatch):

@@ -98,8 +98,6 @@ class TestSupervisor:
         supervisor, slept = self._supervisor()
         assert supervisor.note_failure("k", OSError(), wait=False)
         assert slept == []
-        supervisor.backoff("k")
-        assert len(slept) == 1 and slept[0] > 0
 
     def test_call_retries_then_reraises(self):
         supervisor, _ = self._supervisor()

@@ -2,7 +2,9 @@
 
 import json
 import multiprocessing
+import os
 import signal
+import threading
 import time
 
 import pytest
@@ -149,6 +151,24 @@ class TestHardTimeout:
         assert statuses[1] == "TIMEOUT"
         assert statuses[0] in ("SAT", "UNSAT")
         assert statuses[2] in ("SAT", "UNSAT")
+
+    @pytest.mark.skipif(not _FORK, reason="hang pipeline needs fork workers")
+    def test_interrupt_stops_a_parallel_batch_at_once(self):
+        """Ctrl-C ends the batch now, not after the queued tasks, and
+        leaves no worker behind."""
+        tasks = [Task.from_aig(random_aig(num_pis=4, num_nodes=12, seed=seed),
+                               "__hang__", time_limit=5.0, hard_timeout=5.0)
+                 for seed in (20, 21, 22)]
+        timer = threading.Timer(0.5, os.kill, (os.getpid(), signal.SIGINT))
+        start = time.monotonic()
+        timer.start()
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                BatchRunner(jobs=2).run(tasks)
+        finally:
+            timer.cancel()
+        assert time.monotonic() - start < 3.0
+        assert multiprocessing.active_children() == []
 
     def test_timeout_charged_in_aggregates(self):
         from repro.core.results import RunSet
