@@ -10,6 +10,9 @@ the portfolio racer and the solver backends:
 * :mod:`~repro.resilience.watchdog` — per-process memory ceilings and
   wall-clock deadlines that convert OOM/hang into clean ``MEMOUT`` /
   ``TIMEOUT`` statuses;
+* :mod:`~repro.resilience.pool` — :class:`WorkerPool`, the forked
+  one-pipe workers of the batch runner, the solve server and the
+  portfolio (imported from its module, not re-exported here);
 * :mod:`~repro.resilience.chaos` — deterministic fault injection
   (``REPRO_CHAOS``) used by ``tests/resilience`` and the chaos CI jobs to
   prove every recovery path.

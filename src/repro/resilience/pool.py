@@ -1,14 +1,17 @@
 """Pre-forked workers, one pipe each: the one worker model of the repo.
 
-Both the batch runner (:class:`repro.runner.batch.BatchRunner`) and the
-solve server (:class:`repro.server.service.SolveService`) run their tasks
-on a :class:`WorkerPool`.  Each worker owns one duplex pipe and loops:
+Every worker process in ``repro`` is forked here.  The batch runner
+(:class:`repro.runner.batch.BatchRunner`), the solve server
+(:class:`repro.server.service.SolveService`) and the parallel portfolio
+(:mod:`repro.sat.portfolio`) each run their work on a
+:class:`WorkerPool`.  Each worker owns one duplex pipe and loops:
 receive a message, send back ``target(message)``.  A worker is either
 idle or owns exactly one job, so EOF on its pipe names the one job that
 was lost when it died (SIGKILL, OOM killer, segfault); the owner reaps
-that worker, forks one replacement and retries only that job under its
-supervisor (:data:`CRASH_POLICY` by default), while every other worker
-runs on untouched.
+that worker and decides what the loss costs: the runner and the server
+fork one replacement and retry only that job under its supervisor
+(:data:`CRASH_POLICY` by default), the portfolio races on with the
+survivors.  Every other worker runs on untouched.
 
 Workers are forked, so they inherit the registered pipelines and the
 chaos and trace state of their parent.  They are not daemonic, because a
@@ -30,13 +33,15 @@ from typing import Any, Callable
 from repro.resilience.policy import RetryPolicy
 from repro.resilience.watchdog import install_worker_limits
 
-__all__ = ["CRASH_POLICY", "Worker", "WorkerPool"]
+__all__ = ["CRASH_POLICY", "FORK_CONTEXT", "Worker", "WorkerPool"]
 
 #: Retry budget for the job of a worker that died, when the caller does
 #: not supply its own supervisor.
 CRASH_POLICY = RetryPolicy(max_attempts=3, backoff_base=0.1, backoff_max=2.0)
 
-_FORK = multiprocessing.get_context("fork")
+#: The start method of every worker; also builds the queues that workers
+#: share (the portfolio's clause bus).
+FORK_CONTEXT = multiprocessing.get_context("fork")
 
 
 def _worker_main(conn: Connection, inherited: list[Connection],
@@ -89,9 +94,9 @@ class WorkerPool:
 
     def fork(self) -> Worker:
         """Fork one more worker and return it, idle."""
-        ours, theirs = _FORK.Pipe()
+        ours, theirs = FORK_CONTEXT.Pipe()
         inherited = [ours] + [worker.conn for worker in self.workers]
-        process = _FORK.Process(
+        process = FORK_CONTEXT.Process(
             target=_worker_main, name="repro-worker",
             args=(theirs, inherited, self.target, self.mem_limit_mb))
         process.start()

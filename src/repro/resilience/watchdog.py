@@ -16,8 +16,9 @@ Like the tracer, the active watchdog is process-global
 (:func:`set_watchdog` / :func:`get_watchdog`) — but deliberately *without*
 a pid check: portfolio workers are forked from the parent and are exactly
 the processes the limit is meant to police, so inheritance is the point.
-Pool workers (:mod:`repro.runner.pool`, which do not fork per task)
-install their own via :func:`install_worker_limits` as they start.
+Pool workers given a ``mem_limit_mb`` (:mod:`repro.resilience.pool`; the
+runner's and the server's, which do not fork per task) install their own
+via :func:`install_worker_limits` as they start.
 """
 
 from __future__ import annotations

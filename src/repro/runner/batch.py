@@ -2,7 +2,7 @@
 
 With ``jobs > 1``, :class:`BatchRunner` fans :class:`repro.runner.task.Task`
 objects out across the forked workers of a
-:class:`repro.runner.pool.WorkerPool`, one task per worker at a time:
+:class:`repro.resilience.pool.WorkerPool`, one task per worker at a time:
 
 * **hard timeouts** — each worker arms a wall-clock alarm
   (``SIGALRM``/``setitimer``) before touching the task, so a hung or
@@ -57,17 +57,14 @@ from repro.errors import ReproError, ResourceLimitExceeded
 from repro.obs import Tracer, get_tracer, set_tracer
 from repro.resilience.chaos import get_chaos
 from repro.resilience.policy import Supervisor
+from repro.resilience.pool import CRASH_POLICY, WorkerPool
 from repro.resilience.watchdog import Watchdog, use_watchdog
-from repro.runner.pool import CRASH_POLICY, WorkerPool
-from repro.runner.store import ResultStore, StoreError
+from repro.runner.store import ResultStore, put_with_retry, run_to_record
 from repro.runner.task import Task, TaskError
 from repro.sat.configs import SolverConfig
 from repro.sat.stats import SolverStats
 
 logger = logging.getLogger(__name__)
-
-#: Attempts at persisting one result before it is (visibly) dropped.
-_STORE_ATTEMPTS = 3
 
 
 class HardTimeout(Exception):
@@ -463,21 +460,7 @@ class BatchRunner:
         if self.store is None or run.status in UNCACHED_STATUSES \
                 or task.proof is not None:
             return run
-        tracer = get_tracer()
-        for attempt in range(1, _STORE_ATTEMPTS + 1):
-            try:
-                self.store.put(fingerprint, run, seed=task.seed())
-                return run
-            except (StoreError, OSError) as exc:
-                tracer.metrics.counter("resilience.store_errors").inc()
-                if attempt == _STORE_ATTEMPTS:
-                    tracer.event("store_give_up", task=fingerprint[:16],
-                                 error=repr(exc))
-                    logger.error(
-                        "result for %s could not be persisted "
-                        "(%d attempts): %r", fingerprint[:16], attempt, exc)
-                else:
-                    tracer.event("store_retry", task=fingerprint[:16],
-                                 attempt=attempt, error=repr(exc))
-                    time.sleep(0.01 * attempt)
+        put_with_retry(self.store, fingerprint,
+                       run_to_record(run, fingerprint, seed=task.seed()),
+                       get_tracer().metrics.counter("resilience.store_errors"))
         return run

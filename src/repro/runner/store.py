@@ -22,7 +22,10 @@ The store is hardened for concurrent writers and crashes:
   every intact record;
 * unusable fragments are quarantined to a ``.corrupt`` sidecar file next to
   the store instead of being silently forgotten, so data loss is visible
-  and diagnosable after the fact.
+  and diagnosable after the fact;
+* :func:`put_with_retry` is the one append-retry ladder of the batch
+  runner and the solve server: a failed append is retried, and a record
+  that still cannot be written is dropped visibly, never raised.
 """
 
 from __future__ import annotations
@@ -30,10 +33,13 @@ from __future__ import annotations
 import json
 import logging
 import os
+import time
 from pathlib import Path
 
 from repro.core.results import InstanceRun
 from repro.errors import ReproError, TransientError
+from repro.obs import get_tracer
+from repro.obs.metrics import Counter
 from repro.resilience.chaos import get_chaos
 from repro.runner.task import SCHEMA_VERSION
 from repro.sat.stats import SolverStats
@@ -44,6 +50,9 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
     fcntl = None  # type: ignore[assignment]
 
 logger = logging.getLogger(__name__)
+
+#: Attempts at persisting one record before it is (visibly) dropped.
+_STORE_ATTEMPTS = 3
 
 #: How many embedded-record start markers a corrupt line is probed at
 #: before the whole line is quarantined (bounds worst-case work on
@@ -293,3 +302,31 @@ def open_store(path: str | Path, durable: bool = False) -> ResultStore:
         shard_path.rename(shard_path.with_name(shard_path.name + ".migrated"))
         logger.info("migrated shard %s (%d records)", shard_path, len(shard))
     return store
+
+
+def put_with_retry(store, fingerprint: str, record: dict,
+                   errors: Counter) -> None:
+    """Append ``record`` to ``store``, retrying failed appends.
+
+    Every failed attempt bumps ``errors`` and waits 10 ms times the attempt
+    number before the next one; after :data:`_STORE_ATTEMPTS` failures the
+    record is dropped with a ``store_give_up`` event and an error log.
+    ``store`` is anything with :meth:`ResultStore.put_record`.
+    """
+    tracer = get_tracer()
+    for attempt in range(1, _STORE_ATTEMPTS + 1):
+        try:
+            store.put_record(fingerprint, record)
+            return
+        except (StoreError, OSError) as exc:
+            errors.inc()
+            if attempt == _STORE_ATTEMPTS:
+                tracer.event("store_give_up", task=fingerprint[:16],
+                             error=repr(exc))
+                logger.error("result for %s could not be persisted "
+                             "(%d attempts): %r", fingerprint[:16], attempt,
+                             exc)
+            else:
+                tracer.event("store_retry", task=fingerprint[:16],
+                             attempt=attempt, error=repr(exc))
+                time.sleep(0.01 * attempt)

@@ -38,10 +38,12 @@ its model and its statistics legitimately vary run to run; differential
 tests therefore compare statuses and *verify* models rather than expecting
 bit-identical results.
 
-Workers communicate over a ``multiprocessing`` queue and are always
-terminated and joined before the call returns (also on errors and timeouts),
-so portfolio solving composes with the batch runner's per-task hard
-timeouts without leaking processes.
+Workers are forked on a :class:`repro.resilience.pool.WorkerPool`, the
+one worker model of the repo: each gets its index over its own pipe and
+sends back one message, and EOF on a pipe is that worker's death.  The
+pool kills and joins every worker before the call returns (also on errors
+and timeouts), so portfolio solving composes with the batch runner's
+per-task hard timeouts without leaking processes.
 
 Racing workers can additionally *share* learned clauses
 (``sharing=True``/:class:`repro.sat.sharing.SharingConfig`): the parent
@@ -53,7 +55,7 @@ all-cubes-UNSAT case, which is closed with prefix-tree glue lemmas.
 
 Worker death is a routine event, not a failure mode: a race with K dead
 workers still returns the first decisive verdict from the survivors, a
-failed ``fork``/``spawn`` only sheds that worker (reported as
+refused ``fork`` only sheds that worker (reported as
 ``SPAWN_FAILED``), and when *every* worker is lost on the multiprocess
 path the run degrades to one in-process sequential solve of the unsplit
 formula as the last rung of the degradation ladder; only when that solve
@@ -68,19 +70,19 @@ tests.
 from __future__ import annotations
 
 import logging
-import multiprocessing
 import os
 import random
 import shutil
 import tempfile
 import time
 from dataclasses import dataclass, field, replace
-from queue import Empty, SimpleQueue
+from multiprocessing.connection import wait
 
 from repro.cnf.cnf import Cnf
 from repro.errors import SolverError, is_transient
 from repro.obs import NULL_TRACER, Tracer, get_tracer
 from repro.resilience.chaos import get_chaos
+from repro.resilience.pool import FORK_CONTEXT, WorkerPool
 from repro.sat.backends import compose_progress
 from repro.sat.configs import SolverConfig, cadical_like, kissat_like
 from repro.sat.proof import (LemmaStream, ProofError, cube_prefix_clauses,
@@ -110,24 +112,13 @@ DEFAULT_NUM_WORKERS = 4
 #: Hard cap on the cube depth: 2**depth cubes must stay enumerable.
 MAX_CUBE_DEPTH = 12
 
-#: How long the parent polls the result queue between liveness checks.
+#: How long the parent waits on the worker pipes between clause-bus pumps
+#: and deadline checks.
 _POLL_INTERVAL = 0.05
-
-#: Consecutive empty polls with a dead, silent worker before it is declared
-#: crashed (a worker may exit between putting its message and the poll).
-_DEAD_POLLS = 2
 
 #: Extra wall-clock slack the parent grants workers beyond ``time_limit``
 #: before killing them (the workers' own in-loop limit should fire first).
 _KILL_GRACE = 5.0
-
-
-def _mp_context() -> multiprocessing.context.BaseContext:
-    """Fork when the platform has it (cheap, inherits the loaded modules);
-    the default start method otherwise."""
-    if "fork" in multiprocessing.get_all_start_methods():
-        return multiprocessing.get_context("fork")
-    return multiprocessing.get_context()
 
 
 # --------------------------------------------------------------------- #
@@ -297,7 +288,7 @@ class PortfolioResult:
 
 
 # --------------------------------------------------------------------- #
-# Worker bodies (module-level so every start method can import them)
+# Worker body (run in a pool worker, or in-process for one worker)
 # --------------------------------------------------------------------- #
 
 
@@ -316,9 +307,10 @@ _CHAOS_PROGRESS_INTERVAL = 16
 def _cube_worker(index: int, cnf: Cnf, config: SolverConfig,
                  cubes: list[list[int]], time_limit: float | None,
                  max_conflicts: int | None, max_decisions: int | None,
-                 assumptions: list[int] | None, queue, trace_path=None,
-                 lemma_path=None, endpoint=None) -> None:
-    """Conquer ``cubes`` on one incremental solver session.
+                 assumptions: list[int] | None, trace_path=None,
+                 lemma_path=None, endpoint=None) -> dict:
+    """Conquer ``cubes`` on one incremental solver session; return the
+    worker's message to the parent.
 
     Any SAT cube decides the formula, and so does an UNSAT cube whose
     final-conflict core avoids every split variable; otherwise the worker
@@ -392,34 +384,25 @@ def _cube_worker(index: int, cnf: Cnf, config: SolverConfig,
             worker_span.set(status=verdict, cubes_solved=completed,
                             conflicts=solver.stats.conflicts)
         decided = verdict in ("SAT", "UNSAT")
-        queue.put({"kind": "exhausted" if verdict == "EXHAUSTED"
-                   else "result", "index": index, "status": verdict,
-                   "statuses": statuses,
-                   "model": result.model if decided else None,
-                   "core": result.core if decided else None,
-                   "stats": solver.stats, "cubes_solved": completed,
-                   "elapsed": time.perf_counter() - start})
+        return {"kind": "exhausted" if verdict == "EXHAUSTED" else "result",
+                "index": index, "status": verdict, "statuses": statuses,
+                "model": result.model if decided else None,
+                "core": result.core if decided else None,
+                "stats": solver.stats, "cubes_solved": completed,
+                "elapsed": time.perf_counter() - start}
     except Exception as exc:
-        # Anything escaping a worker must travel over the queue (losing it
-        # would look like a silent death to the parent); the transience
-        # classification rides along so the parent can retry sensibly.
-        queue.put({"kind": "error", "index": index, "error": repr(exc),
-                   "transient": is_transient(exc),
-                   "stats": solver.stats if solver is not None else None,
-                   "elapsed": time.perf_counter() - start})
+        # Anything escaping a worker must travel back as a message (an
+        # exception ending the worker would look like a silent death to
+        # the parent); the transience classification rides along so the
+        # parent can retry sensibly.
+        return {"kind": "error", "index": index, "error": repr(exc),
+                "transient": is_transient(exc),
+                "stats": solver.stats if solver is not None else None,
+                "elapsed": time.perf_counter() - start}
     finally:
         if stream is not None:
             stream.close()
         tracer.close()
-
-
-def _run_inline(index: int, args: tuple, trace_path=None,
-                lemma_path=None) -> dict:
-    """Run one worker body in this process and return its message."""
-    inline = SimpleQueue()
-    _cube_worker(index, *args, inline, trace_path=trace_path,
-                 lemma_path=lemma_path)
-    return inline.get_nowait()
 
 
 # --------------------------------------------------------------------- #
@@ -433,111 +416,81 @@ def _decisive(message: dict) -> bool:
         and message["status"] in ("SAT", "UNSAT")
 
 
-def _collect(procs: list, queue, time_limit: float | None,
-             pending: set[int], pump=None) -> dict[int, dict]:
-    """Await worker messages until one is decisive or all have reported.
+def _start_workers(pool: WorkerPool, count: int) -> dict[int, dict]:
+    """Fork ``count`` workers and send each its index, tolerating refusals.
 
-    Returns the messages by worker index; the caller terminates whatever
-    is still running.  ``pending`` restricts the wait to the workers that
-    actually started (spawn failures never report).  A worker that dies
-    without a message is recorded as a transient error — and counted on
-    ``resilience.worker_deaths`` — after a couple of confirming polls; when
-    ``time_limit`` is set a safety deadline (limit + grace) bounds the
-    whole wait.  ``pump`` (the clause bus's pump, when sharing is on) runs
-    once per poll iteration, so clause traffic moves at the result-polling
-    cadence without a dedicated thread.
+    A host under memory or pid pressure can refuse a ``fork``; losing one
+    lane of the race is strictly better than losing the race, so refused
+    forks are recorded as ``SPAWN_FAILED`` pseudo-messages (and on the
+    ``resilience.spawn_failures`` counter) while the survivors run.
+    Returns the pseudo-messages by worker index.
     """
-    messages: dict[int, dict] = {}
-    pending = set(pending)
-    silent_dead: dict[int, int] = {}
-    tracer = get_tracer()
-    deadline = (time.monotonic() + time_limit + _KILL_GRACE
-                if time_limit is not None else None)
-    while pending:
-        if pump is not None:
-            pump()
-        try:
-            message = queue.get(timeout=_POLL_INTERVAL)
-        except Empty:
-            for index in sorted(pending):
-                if not procs[index].is_alive():
-                    silent_dead[index] = silent_dead.get(index, 0) + 1
-                    if silent_dead[index] >= _DEAD_POLLS:
-                        pending.discard(index)
-                        messages[index] = {"kind": "error", "index": index,
-                                           "error": "worker died without "
-                                                    "reporting",
-                                           "transient": True, "elapsed": 0.0}
-                        tracer.metrics.counter(
-                            "resilience.worker_deaths").inc()
-                        tracer.event("worker_death", index=index,
-                                     exitcode=procs[index].exitcode)
-                        logger.warning(
-                            "portfolio worker %d died without reporting "
-                            "(exit code %s)", index, procs[index].exitcode)
-            if deadline is not None and time.monotonic() > deadline:
-                break
-            continue
-        index = message["index"]
-        messages[index] = message
-        pending.discard(index)
-        silent_dead.pop(index, None)
-        if _decisive(message):
-            break
-    return messages
-
-
-def _start_workers(procs: list) -> tuple[list[int], dict[int, dict]]:
-    """Start every worker, tolerating individual spawn failures.
-
-    A host under memory or pid pressure can refuse a ``fork``/``spawn``;
-    losing one lane of the race is strictly better than losing the race,
-    so failed spawns are recorded as ``SPAWN_FAILED`` pseudo-messages (and
-    on the ``resilience.spawn_failures`` counter) while the survivors run.
-    Returns ``(started_indices, spawn_failure_messages)``.
-    """
-    started: list[int] = []
     failed: dict[int, dict] = {}
-    for index, proc in enumerate(procs):
+    for index in range(count):
         try:
-            proc.start()
-            started.append(index)
+            worker = pool.fork()
         except OSError as exc:
             failed[index] = {"kind": "error", "index": index,
                              "error": f"spawn failed: {exc!r}",
                              "spawn_failed": True, "transient": True,
                              "elapsed": 0.0}
+            continue
+        worker.job = index
+        try:
+            worker.conn.send(index)
+        except OSError:
+            pass  # a dead worker: _collect reads its EOF
     if failed:
         tracer = get_tracer()
         tracer.metrics.counter("resilience.spawn_failures").inc(len(failed))
         tracer.event("spawn_failures", workers=sorted(failed))
         logger.warning("portfolio: failed to spawn worker(s) %s; racing %d "
-                       "survivor(s)", sorted(failed), len(started))
-    return started, failed
+                       "survivor(s)", sorted(failed), count - len(failed))
+    return failed
 
 
-def _shutdown(procs: list, queue) -> None:
-    """Terminate and reap every worker; drain the queue so feeders unblock.
+def _collect(pool: WorkerPool, time_limit: float | None,
+             pump=None) -> dict[int, dict]:
+    """Await worker messages until one is decisive or all have reported.
 
-    Tolerates workers that were never started (a failed spawn mid-way
-    through the start loop): those are simply skipped.
+    Returns the messages by worker index; the caller stops whatever is
+    still running.  Each pool worker sends exactly one message, so EOF on
+    its pipe means it died without one: it is reaped and recorded as a
+    transient error at once, and counted on ``resilience.worker_deaths``.
+    When ``time_limit`` is set a safety deadline (limit + grace) bounds the
+    whole wait.  ``pump`` (the clause bus's pump, when sharing is on) runs
+    once per wait round, so clause traffic moves at the result-polling
+    cadence without a dedicated thread.
     """
-    for proc in procs:
-        if proc.pid is not None and proc.is_alive():
-            proc.terminate()
-    while True:
-        try:
-            queue.get_nowait()
-        except (Empty, OSError):
+    messages: dict[int, dict] = {}
+    running = {worker.conn: worker for worker in pool.workers}
+    tracer = get_tracer()
+    deadline = (time.monotonic() + time_limit + _KILL_GRACE
+                if time_limit is not None else None)
+    while running:
+        if pump is not None:
+            pump()
+        for conn in wait(list(running), timeout=_POLL_INTERVAL):
+            worker = running.pop(conn)
+            index = worker.job
+            try:
+                message = conn.recv()
+            except (EOFError, OSError):  # dead, even mid-message
+                pool.reap(worker)
+                exitcode = worker.process.exitcode
+                message = {"kind": "error", "index": index,
+                           "error": "worker died without reporting",
+                           "transient": True, "elapsed": 0.0}
+                tracer.metrics.counter("resilience.worker_deaths").inc()
+                tracer.event("worker_death", index=index, exitcode=exitcode)
+                logger.warning("portfolio worker %d died without reporting "
+                               "(exit code %s)", index, exitcode)
+            messages[index] = message
+            if _decisive(message):
+                return messages
+        if deadline is not None and time.monotonic() > deadline:
             break
-    for proc in procs:
-        if proc.pid is None:
-            continue
-        proc.join(timeout=2.0)
-        if proc.is_alive():  # pragma: no cover - defensive
-            proc.kill()
-            proc.join()
-    queue.close()
+    return messages
 
 
 def _worker_reports(configs: list[SolverConfig],
@@ -616,7 +569,7 @@ def _last_resort_message(index: int, args: tuple,
     """The bottom rung of the degradation ladder: one in-process solve.
 
     Used when every multiprocess worker was lost (all crashed, or the host
-    refused every spawn): run a single worker body inline — no fork, so
+    refused every fork): run a single worker body inline — no fork, so
     nothing left to die — and return its message.  Counted on
     ``resilience.fallbacks``.
     """
@@ -625,7 +578,7 @@ def _last_resort_message(index: int, args: tuple,
     tracer.event("sequential_fallback")
     logger.warning("every portfolio worker was lost; degrading to one "
                    "in-process sequential solve")
-    return _run_inline(index, args, lemma_path=lemma_path)
+    return _cube_worker(index, *args, lemma_path=lemma_path)
 
 
 def _worker_trace_paths(tracer, count: int):
@@ -724,13 +677,14 @@ def _drive(mode: str, cnf: Cnf, configs: list[SolverConfig],
     """Run one worker per config over its cube share and settle the verdict.
 
     The one engine behind both public entry points.  A single worker runs
-    in-process; more are forked, with spawn failures shed and a clause bus
-    pumped while polling when ``share`` is set.  The first decisive message
-    wins and the rest are terminated.  When every multiprocess worker is
-    lost, one in-process unsplit solve is the last resort.  Without a
-    decisive message, ``refutation(messages)`` may return the glue clauses
-    that close an all-UNSAT split, which makes the verdict UNSAT; the
-    verdict is ``UNKNOWN`` otherwise.  ``attrs`` annotate the ``mode`` span.
+    in-process; more are forked on a :class:`WorkerPool`, with refused forks
+    shed and a clause bus pumped while polling when ``share`` is set.  The
+    first decisive message wins and the pool reaps the rest.  When every
+    forked worker is lost, one in-process unsplit solve is the last resort.
+    Without a decisive message, ``refutation(messages)`` may return the
+    glue clauses that close an all-UNSAT split, which makes the verdict
+    UNSAT; the verdict is ``UNKNOWN`` otherwise.  ``attrs`` annotate the
+    ``mode`` span.
     """
     start = time.perf_counter()
     tracer = get_tracer()
@@ -743,38 +697,35 @@ def _drive(mode: str, cnf: Cnf, configs: list[SolverConfig],
         try:
             try:
                 if len(configs) == 1:
-                    messages[0] = _run_inline(
-                        0, (cnf, configs[0], shares[0], *limits, assumptions),
-                        trace_path=trace_paths[0], lemma_path=lemma_paths[0])
+                    messages[0] = _cube_worker(
+                        0, cnf, configs[0], shares[0], *limits, assumptions,
+                        trace_paths[0], lemma_paths[0])
                 else:
-                    context = _mp_context()
-                    queue = context.Queue()
-                    bus = ClauseBus(len(configs), share, context) \
+                    bus = ClauseBus(len(configs), share, FORK_CONTEXT) \
                         if share is not None else None
-                    procs = [context.Process(
-                        target=_cube_worker,
-                        args=(index, cnf, config, shares[index], *limits,
-                              assumptions, queue, trace_paths[index],
-                              lemma_paths[index],
-                              bus.endpoint(index) if bus is not None
-                              else None),
-                        daemon=False)
-                        for index, config in enumerate(configs)]
-                    # start() runs inside the try so that a caller's
-                    # hard-timeout alarm firing in the start window still
-                    # terminates the workers already running.
+
+                    def work(index: int) -> dict:
+                        return _cube_worker(
+                            index, cnf, configs[index], shares[index],
+                            *limits, assumptions, trace_paths[index],
+                            lemma_paths[index],
+                            bus.endpoint(index) if bus is not None else None)
+
+                    pool = WorkerPool(work)
+                    # Forks run inside the try so that a caller's
+                    # hard-timeout alarm firing in the fork window still
+                    # reaps the workers already running.
                     try:
-                        started, messages = _start_workers(procs)
-                        if started:
-                            messages.update(_collect(
-                                procs, queue, limits[0], set(started),
-                                pump=bus.pump if bus is not None else None))
+                        messages = _start_workers(pool, len(configs))
+                        messages.update(_collect(
+                            pool, limits[0],
+                            pump=bus.pump if bus is not None else None))
                     finally:
                         if bus is not None:
                             bus.pump()
                             bus.publish_metrics()
                             sharing_counters = bus.counters()
-                        _shutdown(procs, queue)
+                        pool.stop()
                         if bus is not None:
                             bus.close()
             finally:

@@ -87,9 +87,8 @@ class SharingConfig:
 class BusEndpoint:
     """One worker's handle on the bus: export sink plus import source.
 
-    Built by :meth:`ClauseBus.endpoint` in the parent and shipped to the
-    worker process (multiprocessing queues pickle across the start
-    methods).  In the worker, :meth:`attach` wires it into a
+    Built by :meth:`ClauseBus.endpoint` in the forked worker, from the
+    bus (and queues) it inherits.  There, :meth:`attach` wires it into a
     :class:`CdclSolver`; ``stream`` (optional) is the worker's
     :class:`~repro.sat.proof.LemmaStream`, consulted for the Lamport stamp
     of every export and advanced past the stamp of every import.

@@ -5,9 +5,10 @@ serve``.  It owns ``jobs`` forked worker processes, kept warm across
 requests, and dispatches accepted jobs to them from the asyncio event
 loop.
 
-**Worker model.**  The workers are a :class:`repro.runner.pool.WorkerPool`,
-the batch runner's own: each owns one duplex pipe and loops: receive a
-:class:`~repro.runner.task.Task`, run it through
+**Worker model.**  The workers are a
+:class:`repro.resilience.pool.WorkerPool`, the one worker model of the
+batch runner and the portfolio too: each owns one duplex pipe and loops:
+receive a :class:`~repro.runner.task.Task`, run it through
 :func:`repro.server.jobs.execute_job`, send back the result dict.  A
 worker is either idle or owns exactly one job, so dispatch is a
 synchronous "start queued jobs while a worker is idle", run whenever a
@@ -70,8 +71,8 @@ from repro.obs import get_tracer
 from repro.obs.metrics import MetricsRegistry
 from repro.resilience.chaos import get_chaos
 from repro.resilience.policy import Supervisor
-from repro.runner.pool import CRASH_POLICY, Worker, WorkerPool
-from repro.runner.store import StoreError
+from repro.resilience.pool import CRASH_POLICY, Worker, WorkerPool
+from repro.runner.store import put_with_retry
 from repro.runner.task import SCHEMA_VERSION, Task, default_hard_timeout
 from repro.server.jobs import execute_job
 
@@ -83,9 +84,6 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
-
-#: Attempts at persisting one result before dropping it visibly.
-_STORE_ATTEMPTS = 3
 
 #: Version tag inside server store records (next to the task schema).
 SERVER_RECORD_VERSION = 1
@@ -593,20 +591,8 @@ class SolveService:
         record = {"schema": SCHEMA_VERSION, "task": job.fingerprint,
                   "server": SERVER_RECORD_VERSION, "kind": job.task.kind,
                   "result": result}
-        tracer = get_tracer()
-        for attempt in range(1, _STORE_ATTEMPTS + 1):
-            try:
-                self.store.put_record(job.fingerprint, record)
-                return
-            except (StoreError, OSError) as error:
-                self.metrics.counter("server.store_errors").inc()
-                if attempt == _STORE_ATTEMPTS:
-                    tracer.event("store_give_up", job=job.id,
-                                 error=str(error))
-                    logger.error("dropping result of %s after %d store "
-                                 "attempts: %s", job.id, attempt, error)
-                else:
-                    tracer.event("store_retry", job=job.id, attempt=attempt)
+        put_with_retry(self.store, job.fingerprint, record,
+                       self.metrics.counter("server.store_errors"))
 
     # ------------------------------------------------------------------ #
     # Introspection

@@ -6,13 +6,17 @@ mid-search through the ``REPRO_CHAOS`` environment variable and asserts
 the verdict still lands.  A fast smoke stays in tier-1.
 """
 
+import errno
 import multiprocessing
 
 import pytest
 
 import repro.sat.portfolio as portfolio_module
 from repro.errors import SolverError
+from repro.obs import Tracer, use_tracer
 from repro.resilience.chaos import CHAOS_ENV
+from repro.resilience.pool import WorkerPool
+from repro.sat.backends import PortfolioBackend
 from repro.sat.configs import kissat_like
 from repro.sat.portfolio import solve_cube_and_conquer, solve_portfolio
 
@@ -38,6 +42,7 @@ class TestWorkerDeath:
         dead = [w for w in result.workers if w.status == "ERROR"]
         assert len(dead) == 1 and dead[0].index == 0
         assert "died" in dead[0].error
+        assert not multiprocessing.active_children()
 
     @pytest.mark.chaos
     def test_half_killed_portfolio_still_decides(self, monkeypatch):
@@ -76,13 +81,45 @@ class TestWorkerDeath:
         """Every worker crashes, the in-process last resort included: the
         run raises instead of reporting UNKNOWN."""
         def crashing_worker(index, cnf, config, cubes, time_limit,
-                            max_conflicts, max_decisions, assumptions, queue,
+                            max_conflicts, max_decisions, assumptions,
                             *args, **kwargs):
-            queue.put({"kind": "error", "index": index,
-                       "error": "RuntimeError('boom')", "elapsed": 0.0})
+            return {"kind": "error", "index": index,
+                    "error": "RuntimeError('boom')", "elapsed": 0.0}
 
         monkeypatch.setattr(portfolio_module, "_cube_worker",
                             crashing_worker)
         with pytest.raises(SolverError, match=r"\+seq-fallback: .*boom"):
             solve_portfolio(hard_cnf(), num_workers=2,
                             base_config=kissat_like())
+        assert not multiprocessing.active_children()
+
+
+@needs_fork
+class TestForkRefusal:
+    def test_refused_fork_sheds_that_worker(self, monkeypatch):
+        """The host refuses the second fork of every race: that worker is
+        reported SPAWN_FAILED, the survivor decides, and the backend sheds
+        the refused worker from its next race."""
+        real_fork = WorkerPool.fork
+
+        def refusing_fork(pool):
+            if len(pool.workers) == 1:
+                raise OSError(errno.EAGAIN, "fork refused")
+            return real_fork(pool)
+
+        monkeypatch.setattr(WorkerPool, "fork", refusing_fork)
+        tracer = Tracer()
+        with use_tracer(tracer):
+            result = solve_portfolio(hard_cnf(), num_workers=2,
+                                     base_config=kissat_like())
+            assert result.result.status == "UNSAT"
+            assert result.workers[0].status == "UNSAT"
+            assert result.workers[1].status == "SPAWN_FAILED"
+            assert tracer.metrics.counter(
+                "resilience.spawn_failures").value == 1
+
+            backend = PortfolioBackend(num_workers=2)
+            assert backend.solve(hard_cnf()).status == "UNSAT"
+            assert backend.num_workers == 1
+            assert tracer.metrics.counter("resilience.sheds").value == 1
+        assert not multiprocessing.active_children()

@@ -1,5 +1,7 @@
 """Unit tests for the parallel portfolio / cube-and-conquer module."""
 
+import multiprocessing
+
 import pytest
 
 from repro.benchgen.random_logic import pigeonhole_cnf, random_cnf
@@ -93,6 +95,7 @@ def test_portfolio_sat_matches_sequential_and_model_is_genuine():
     assert cnf.evaluate(report.result.model)
     assert report.mode == "portfolio"
     assert len(report.workers) == 3
+    assert not multiprocessing.active_children()
 
 
 def test_portfolio_unsat():
@@ -158,6 +161,7 @@ def test_cube_and_conquer_unsat_aggregates_all_cubes():
     solved = sum(worker.cubes_solved for worker in report.workers)
     # A decisive formula-level UNSAT may stop early; otherwise all cubes ran.
     assert 1 <= solved <= report.num_cubes
+    assert not multiprocessing.active_children()
 
 
 def test_cube_and_conquer_single_worker_inline():
@@ -261,10 +265,10 @@ def test_all_workers_crashing_raises_instead_of_unknown(monkeypatch):
     import repro.sat.portfolio as portfolio_module
 
     def crashing_worker(index, cnf, config, cubes, time_limit, max_conflicts,
-                        max_decisions, assumptions, queue, trace_path=None,
+                        max_decisions, assumptions, trace_path=None,
                         lemma_path=None, endpoint=None):
-        queue.put({"kind": "error", "index": index,
-                   "error": "RuntimeError('boom')", "elapsed": 0.0})
+        return {"kind": "error", "index": index,
+                "error": "RuntimeError('boom')", "elapsed": 0.0}
 
     monkeypatch.setattr(portfolio_module, "_cube_worker", crashing_worker)
     cnf = random_cnf(10, 30, seed=0)
