@@ -27,117 +27,47 @@ persistent result cache.  See README.md and docs/cli.md; the harnesses
 under ``benchmarks/`` regenerate every table and figure of the paper.
 """
 
-from repro.aig import (
-    AIG,
-    load_aiger,
-    read_aiger,
-    read_aiger_file,
-    write_aiger,
-    write_aiger_file,
-)
-from repro.benchgen import (
-    atpg_instance,
-    build_miter,
-    generate_test_suite,
-    generate_training_suite,
-    lec_instance,
-    ripple_carry_adder,
-)
-from repro.cnf import (
-    Cnf,
-    lut_netlist_to_cnf,
-    parse_dimacs,
-    read_dimacs,
-    read_dimacs_file,
-    render_dimacs,
-    tseitin_encode,
-    write_dimacs,
-    write_dimacs_file,
-)
-from repro.core import (
-    Preprocessor,
-    baseline_pipeline,
-    comp_pipeline,
-    ours_pipeline,
-    run_pipeline,
-)
-from repro.mapping import branching_complexity, map_aig
-from repro.rl import DqnAgent, RandomAgent, SynthesisEnv, train_dqn
-from repro.runner import BatchRunner, ResultStore, Task
-from repro.sat import (
-    CdclSolver,
-    InternalBackend,
-    SolverBackend,
-    SubprocessBackend,
-    available_backends,
-    cadical_like,
-    get_backend,
-    kissat_like,
-    solve_cnf,
-)
-from repro.synthesis import apply_recipe, balance, refactor, resub, rewrite
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # Circuit representation
-    "AIG",
-    "read_aiger",
-    "write_aiger",
-    "read_aiger_file",
-    "write_aiger_file",
-    # Synthesis
-    "rewrite",
-    "refactor",
-    "balance",
-    "resub",
-    "apply_recipe",
-    # Mapping
-    "map_aig",
-    "branching_complexity",
-    # CNF
-    "Cnf",
-    "tseitin_encode",
-    "lut_netlist_to_cnf",
-    "read_dimacs",
-    "write_dimacs",
-    "parse_dimacs",
-    "render_dimacs",
-    "read_dimacs_file",
-    "write_dimacs_file",
-    # SAT solving
-    "CdclSolver",
-    "solve_cnf",
-    "kissat_like",
-    "cadical_like",
-    "SolverBackend",
-    "InternalBackend",
-    "SubprocessBackend",
-    "get_backend",
-    "available_backends",
-    # AIGER I/O
-    "load_aiger",
-    # Benchmarks
-    "ripple_carry_adder",
-    "lec_instance",
-    "atpg_instance",
-    "build_miter",
-    "generate_training_suite",
-    "generate_test_suite",
-    # RL
-    "DqnAgent",
-    "RandomAgent",
-    "SynthesisEnv",
-    "train_dqn",
-    # Core framework
-    "Preprocessor",
-    "baseline_pipeline",
-    "comp_pipeline",
-    "ours_pipeline",
-    "run_pipeline",
-    # Batch execution
-    "Task",
-    "BatchRunner",
-    "ResultStore",
-]
+#: Defining module -> the names the root exports from it.  The root imports
+#: none of them until one is asked for (PEP 562), so ``repro solve`` and
+#: ``repro serve`` do not pay for numpy, the RL agent or the generators.
+_EXPORTS_BY_MODULE = {
+    "repro.aig": ("AIG", "read_aiger", "write_aiger", "read_aiger_file",
+                  "write_aiger_file", "load_aiger"),
+    "repro.synthesis": ("rewrite", "refactor", "balance", "resub",
+                        "apply_recipe"),
+    "repro.mapping": ("map_aig", "branching_complexity"),
+    "repro.cnf": ("Cnf", "tseitin_encode", "lut_netlist_to_cnf", "read_dimacs",
+                  "write_dimacs", "parse_dimacs", "render_dimacs",
+                  "read_dimacs_file", "write_dimacs_file"),
+    "repro.sat": ("CdclSolver", "solve_cnf", "kissat_like", "cadical_like",
+                  "SolverBackend", "InternalBackend", "SubprocessBackend",
+                  "get_backend", "available_backends"),
+    "repro.benchgen": ("ripple_carry_adder", "lec_instance", "atpg_instance",
+                       "build_miter", "generate_training_suite",
+                       "generate_test_suite"),
+    "repro.rl": ("DqnAgent", "RandomAgent", "SynthesisEnv", "train_dqn"),
+    "repro.core": ("Preprocessor", "baseline_pipeline", "comp_pipeline",
+                   "ours_pipeline", "run_pipeline"),
+    "repro.runner": ("Task", "BatchRunner", "ResultStore"),
+}
+_EXPORTS = {name: module for module, names in _EXPORTS_BY_MODULE.items()
+            for name in names}
+
+__all__ = ["__version__", *_EXPORTS]
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_EXPORTS))

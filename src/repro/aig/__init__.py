@@ -6,6 +6,7 @@ mapper covers AIGs with k-input LUTs, and the Tseitin encoder converts AIGs
 directly to CNF for the Baseline pipeline.
 """
 
+# Eager on purpose: once lazy, an imported submodule would shadow its function.
 from repro.aig.aig import (
     AIG,
     CONST0,

@@ -5,20 +5,25 @@ Simulation serves three purposes in the framework:
 * functional-equivalence checking in the test-suite (exhaustive simulation);
 * random-pattern signatures for the DeepGate2-substitute embedding
   (:mod:`repro.features.deepgate`);
-* divisor filtering during resubstitution (:mod:`repro.synthesis.resub`).
+* the simulation benchmarks of :mod:`repro.perf`.
 
 Patterns are packed 64 per machine word using ``numpy.uint64`` arrays, so a
-single pass over the AIG evaluates 64 input vectors at once.
+single pass over the AIG evaluates 64 input vectors at once.  numpy is
+imported by the functions that take or return arrays, on their first call,
+so importing this module (or :mod:`repro.aig`) does not load it; SAT
+sweeping simulates on Python ints instead (:mod:`repro.aig.sweep`).
 """
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
 from weakref import WeakKeyDictionary
-
-import numpy as np
 
 from repro.aig.aig import AIG, lit_is_complemented, lit_var
 from repro.errors import AigError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Per-AIG cache of the flattened AND-node fanin arrays used by simulate().
 #: AIGs are append-only (a node's fanins never change once created), so a
@@ -63,6 +68,8 @@ def simulate(aig: AIG, pi_words: np.ndarray) -> np.ndarray:
     holds the simulated words of every variable (the constant node is row 0,
     all zeros).
     """
+    import numpy as np
+
     pi_words = np.asarray(pi_words, dtype=np.uint64)
     if pi_words.ndim != 2 or pi_words.shape[0] != aig.num_pis:
         raise AigError(
@@ -93,6 +100,8 @@ def simulate(aig: AIG, pi_words: np.ndarray) -> np.ndarray:
 
 def po_values(aig: AIG, values: np.ndarray) -> np.ndarray:
     """Extract primary-output words from a full simulation array."""
+    import numpy as np
+
     ones = np.uint64(0xFFFFFFFFFFFFFFFF)
     outputs = np.zeros((aig.num_pos, values.shape[1]), dtype=np.uint64)
     for index, po in enumerate(aig.pos):
@@ -107,6 +116,8 @@ def simulate_random(aig: AIG, num_patterns: int = 64,
 
     ``num_patterns`` is rounded up to a multiple of 64.
     """
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     num_words = max(1, (num_patterns + 63) // 64)
     pi_words = rng.integers(0, 2 ** 64, size=(aig.num_pis, num_words),
@@ -121,6 +132,8 @@ def exhaustive_pi_words(num_pis: int) -> np.ndarray:
     """
     if num_pis > 16:
         raise AigError("exhaustive simulation supports at most 16 primary inputs")
+    import numpy as np
+
     num_patterns = 1 << num_pis
     num_words = max(1, num_patterns // 64)
     total_bits = num_words * 64

@@ -6,10 +6,10 @@ function through different structures.  SAT sweeping collapses them with the
 classic three-phase loop of Mishchenko et al.'s FRAIGs:
 
 1. **Simulate**: bit-parallel random simulation assigns every node a
-   signature (its value vector over a few thousand patterns).  Nodes whose
-   signatures match up to complementation form *candidate equivalence
-   classes*; almost all functionally distinct nodes are separated here for
-   free.
+   signature (its value vector over a few thousand patterns, one Python int
+   with a bit per pattern).  Nodes whose signatures match up to
+   complementation form *candidate equivalence classes*; almost all
+   functionally distinct nodes are separated here for free.
 2. **Prove**: candidates are confirmed with tiny incremental SAT queries on
    one Tseitin encoding of the whole AIG.  Each pair query activates two
    difference clauses under a fresh selector literal and solves with the
@@ -33,10 +33,11 @@ acyclic) and sweeping out the dangling logic.
 
 **Exhaustive path.**  SAT is only needed for what simulation cannot settle.
 When ``2**num_pis`` is at most the number of patterns the sweep simulates
-anyway (up to 11 inputs at the default 2 048 patterns, never more than the
-16 inputs :func:`repro.aig.simulate.exhaustive_pi_words` enumerates), phase
-1 simulates *every* input pattern instead of random ones.  The classes are
-then exact, so phases 2 and 3 of the loop reduce to merging each AND member
+anyway (up to 11 inputs at the default 2 048 patterns, never more than 16
+inputs), phase 1 simulates *every* input pattern instead of random ones:
+input ``i``'s row is its truth table
+:func:`repro.logic.truthtable.tt_var`.  The classes are then exact, so
+phases 2 and 3 of the loop reduce to merging each AND member
 into its class representative under the same rules (truncation to
 ``max_class_size``; PIs and the constant act only as representatives).  No
 CNF and no solver are built and ``seed`` is unused.  The swept AIG is the
@@ -55,11 +56,9 @@ import logging
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.aig.aig import AIG, CONST0, lit_var
-from repro.aig.simulate import exhaustive_pi_words, simulate
 from repro.cnf.tseitin import tseitin_encode
+from repro.logic.truthtable import tt_var
 from repro.obs import get_tracer
 from repro.sat.configs import SolverConfig
 from repro.sat.solver import CdclSolver
@@ -68,7 +67,7 @@ logger = logging.getLogger(__name__)
 
 __all__ = ["SweepStats", "SweepResult", "sweep_aig", "fraig"]
 
-#: The most inputs whose patterns :func:`exhaustive_pi_words` enumerates.
+#: The most inputs whose every pattern phase 1 simulates.
 _EXHAUSTIVE_MAX_PIS = 16
 
 
@@ -114,16 +113,21 @@ class SweepResult:
     stats: SweepStats
 
 
-def _evaluate_all(aig: AIG, pi_assignment: list[bool]) -> list[bool]:
-    """Evaluate one input pattern; return the value of every variable."""
-    values = [False] * aig.num_vars
-    for row, pi_var in enumerate(aig.pis):
-        values[pi_var] = pi_assignment[row]
-    for var in aig.and_vars():
-        lit0, lit1 = aig.fanins(var)
-        val0 = values[lit0 >> 1] ^ (lit0 & 1)
-        val1 = values[lit1 >> 1] ^ (lit1 & 1)
-        values[var] = bool(val0 and val1)
+def _simulate(aig: AIG, pi_rows: list[int], full: int) -> list[int]:
+    """Simulate patterns held one per bit; return every variable's row.
+
+    ``pi_rows[i]`` holds PI ``i``'s value in each pattern and ``full`` has
+    a one for each pattern.  The constant node's row is 0.
+    """
+    values = [0] * aig.num_vars
+    for pi_var, row in zip(aig.pis, pi_rows):
+        values[pi_var] = row
+    flip = (0, full)
+    for var, fanins in enumerate(aig.fanin_array):
+        if fanins is not None:
+            lit0, lit1 = fanins
+            values[var] = ((values[lit0 >> 1] ^ flip[lit0 & 1])
+                           & (values[lit1 >> 1] ^ flip[lit1 & 1]))
     return values
 
 
@@ -183,17 +187,20 @@ def _sweep(aig: AIG, num_patterns: int, seed: int, conflict_budget: int,
     num_words = max(1, (num_patterns + 63) // 64)
     exhaustive = (aig.num_pis <= _EXHAUSTIVE_MAX_PIS
                   and 1 << aig.num_pis <= num_words * 64)
+    # Each variable's row is one int with a bit per pattern.
     if exhaustive:
-        # Padding bits (fewer than 64 patterns) repeat pattern 0, which the
-        # phase normalisation below maps to 0 in every row.
-        pi_words = exhaustive_pi_words(aig.num_pis)
+        pi_rows = [tt_var(index, aig.num_pis) for index in range(aig.num_pis)]
         stats.sim_patterns = 1 << aig.num_pis
     else:
+        import numpy as np  # only random patterns need it
+
         rng = np.random.default_rng(seed)
         pi_words = rng.integers(0, 2 ** 64, size=(aig.num_pis, num_words),
                                 dtype=np.uint64)
+        pi_rows = [int.from_bytes(row.tobytes(), "little") for row in pi_words]
         stats.sim_patterns = num_words * 64
-    values = simulate(aig, pi_words)
+    full = (1 << stats.sim_patterns) - 1
+    values = _simulate(aig, pi_rows, full)
 
     # Normalise each signature so that pattern 0 evaluates to 0; ``phase``
     # records the complementation, so nodes equal up to inversion land in
@@ -201,13 +208,11 @@ def _sweep(aig: AIG, num_patterns: int, seed: int, conflict_budget: int,
     # class of simulation-constant nodes.
     num_vars = aig.num_vars
     phase = [0] * num_vars
-    classes: dict[bytes, list[int]] = {}
+    classes: dict[int, list[int]] = {}
     for var in range(num_vars):
         row = values[var]
-        var_phase = int(row[0]) & 1
-        phase[var] = var_phase
-        key = (~row if var_phase else row).tobytes()
-        classes.setdefault(key, []).append(var)
+        var_phase = phase[var] = row & 1
+        classes.setdefault(row ^ full if var_phase else row, []).append(var)
     candidate_classes = [members for members in classes.values()
                          if len(members) >= 2]
     stats.classes_initial = len(candidate_classes)
@@ -298,7 +303,7 @@ def _prove_classes(aig: AIG, candidate_classes: list[list[int]],
     heapq.heapify(heap)  # class-size ordering: smallest classes first
 
     def split_class(members: list[int],
-                    node_vals: list[bool]) -> list[list[int]]:
+                    node_vals: list[int]) -> list[list[int]]:
         zeros: list[int] = []
         ones: list[int] = []
         for member in members:
@@ -314,7 +319,7 @@ def _prove_classes(aig: AIG, candidate_classes: list[list[int]],
             continue
         members = members[:max_class_size]
         repr_var = members[0]
-        counterexample: list[bool] | None = None
+        counterexample: list[int] | None = None
         survivors: list[int] = []
         for index in range(1, len(members)):
             member = members[index]
@@ -368,8 +373,8 @@ def _prove_classes(aig: AIG, candidate_classes: list[list[int]],
             # SAT: a concrete input pattern distinguishes the pair.
             stats.refuted += 1
             model = result.model
-            pi_assignment = [bool(model[var_map[pi]]) for pi in aig.pis]
-            counterexample = _evaluate_all(aig, pi_assignment)
+            counterexample = _simulate(
+                aig, [int(model[var_map[pi]]) for pi in aig.pis], 1)
             survivors = [repr_var] + members[index:]
             break
         if counterexample is not None:

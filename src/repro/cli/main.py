@@ -930,6 +930,19 @@ def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     if argv is None:
         argv = sys.argv[1:]
+    try:
+        code = _run(argv)
+        sys.stdout.flush()  # a closed pipe must fail here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader left (``repro solve x.cnf | head -1``).  Python flushes
+        # stdout again at exit, so point it at devnull first.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+
+
+def _run(argv: list[str]) -> int:
     if argv and argv[0] == "bench":
         return cmd_bench(argv[1:])
     args = build_parser().parse_args(argv)

@@ -19,16 +19,19 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.aig.aig import AIG
 from repro.cnf.cnf import Cnf
 from repro.cnf.lut2cnf import lut_netlist_to_cnf
-from repro.features.deepgate import DeepGateEmbedder
 from repro.mapping.cost import area_cost, branching_cost
 from repro.mapping.lut import LutNetlist
 from repro.mapping.mapper import map_aig
 from repro.obs import get_tracer
 from repro.synthesis.recipe import apply_recipe, initial_recipe
+
+if TYPE_CHECKING:
+    from repro.features.deepgate import DeepGateEmbedder
 
 logger = logging.getLogger(__name__)
 
@@ -128,6 +131,7 @@ class Preprocessor:
         if self.recipe is not None:
             return list(self.recipe)
         if self.agent is not None:
+            from repro.features.deepgate import DeepGateEmbedder
             from repro.rl.env import SynthesisEnv
             from repro.rl.train import agent_recipe
 

@@ -6,6 +6,7 @@ operation is a pure function ``AIG -> AIG`` that preserves the functional
 behaviour of each primary output while restructuring the graph.
 """
 
+# Eager on purpose: once lazy, an imported submodule would shadow its function.
 from repro.synthesis.balance import balance
 from repro.synthesis.cleanup import cleanup
 from repro.synthesis.cuts import Cut, enumerate_cuts

@@ -1,9 +1,12 @@
 """Tests for the unified ``repro`` CLI (repro.cli)."""
 
 import json
+import os
 import stat
+import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -385,3 +388,23 @@ class TestSolveOutput:
         assert main(["solve", sat_cnf_file, "--json", str(report)]) == 10
         payload = json.loads(report.read_text())
         assert payload["solve_time"] == payload["stats"]["solve_time"]
+
+
+class TestBrokenPipe:
+    def test_a_reader_that_leaves_early_gets_no_traceback(self, tmp_path):
+        """``repro solve x.cnf | head -1``: the model is larger than a pipe
+        buffer, so the writer is still writing when the reader leaves."""
+        wide = parse_dimacs("p cnf 20000 20000\n"
+                            + "".join(f"{var} 0\n" for var in range(1, 20001)))
+        path = write_dimacs_file(wide, tmp_path / "wide.cnf")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[2] / "src")
+        proc = subprocess.Popen([sys.executable, "-m", "repro", "solve", str(path)],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                env=env)
+        assert proc.stdout.readline().startswith(b"c ")
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert b"Traceback" not in stderr

@@ -49,7 +49,7 @@ class TestPreprocessor:
 
     def test_embedder_is_built_only_for_an_agent(self, monkeypatch):
         built = []
-        monkeypatch.setattr("repro.core.preprocess.DeepGateEmbedder",
+        monkeypatch.setattr("repro.features.deepgate.DeepGateEmbedder",
                             lambda **kwargs: built.append(kwargs))
         preprocessor = Preprocessor()
         preprocessor.preprocess(random_aig(num_pis=4, num_nodes=12, seed=8))
