@@ -187,7 +187,6 @@ def _sweep(aig: AIG, num_patterns: int, seed: int, conflict_budget: int,
     num_words = max(1, (num_patterns + 63) // 64)
     exhaustive = (aig.num_pis <= _EXHAUSTIVE_MAX_PIS
                   and 1 << aig.num_pis <= num_words * 64)
-    # Each variable's row is one int with a bit per pattern.
     if exhaustive:
         pi_rows = [tt_var(index, aig.num_pis) for index in range(aig.num_pis)]
         stats.sim_patterns = 1 << aig.num_pis
