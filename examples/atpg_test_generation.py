@@ -5,13 +5,14 @@ For every targeted stuck-at fault the script builds the fault-free vs.
 faulty miter (the paper's ATPG instance construction), preprocesses it with
 the framework and solves it:
 
-* SAT  — the model is a test pattern that detects the fault;
+* SAT  — the model, read back as miter input values, is a test pattern
+  that detects the fault;
 * UNSAT — the fault is undetectable (redundant logic).
 
 Run with:  python examples/atpg_test_generation.py
 """
 
-from repro import kissat_like, ours_pipeline, solve_cnf
+from repro import Preprocessor, kissat_like, solve_cnf
 from repro.aig.simulate import evaluate
 from repro.benchgen import build_miter, inject_stuck_at
 from repro.benchgen.datapath import array_multiplier
@@ -32,16 +33,13 @@ def main() -> None:
         for stuck_value in (0, 1):
             faulty = inject_stuck_at(circuit, node, stuck_value)
             miter = build_miter(circuit, faulty)
-            cnf, _ = ours_pipeline(miter)
-            result = solve_cnf(cnf, config=kissat_like(), time_limit=60.0)
+            prep = Preprocessor(use_branching_cost=True).preprocess(miter)
+            result = solve_cnf(prep.cnf, config=kissat_like(), time_limit=60.0)
             fault_name = f"node{node}/stuck-at-{stuck_value}"
             if result.is_unsat:
                 print(f"{fault_name:<22s} UNDETECTABLE (redundant fault)")
                 continue
-            assignment = []
-            for pi in miter.pis:
-                cnf_var = cnf.var_map.get(pi)
-                assignment.append(bool(result.model[cnf_var]) if cnf_var else False)
+            assignment = prep.pi_assignment(result.model)
             good = evaluate(circuit, assignment)
             bad = evaluate(faulty, assignment)
             assert good != bad, "test pattern must distinguish good/faulty circuits"

@@ -26,7 +26,7 @@ from repro.aig.aiger import (
     write_aiger_binary,
     write_aiger_file,
 )
-from repro.aig.simulate import evaluate, simulate, simulate_exhaustive, simulate_random
+from repro.aig.simulate import evaluate, simulate
 from repro.aig.stats import AigStats, balance_ratio, compute_stats
 from repro.aig.sweep import SweepResult, SweepStats, fraig, sweep_aig
 
@@ -47,8 +47,6 @@ __all__ = [
     "read_aiger_binary",
     "write_aiger_binary",
     "simulate",
-    "simulate_random",
-    "simulate_exhaustive",
     "evaluate",
     "AigStats",
     "compute_stats",

@@ -1,62 +1,103 @@
-"""Bit-parallel simulation of AIGs.
+"""Bit-parallel simulation of AIGs on Python ints.
 
-Simulation serves three purposes in the framework:
+One kernel, :func:`simulate_rows`, simulates every input pattern at once:
+a *row* is a Python int holding one bit per pattern, and a single pass over
+the AIG computes the row of every variable.  Everything else is that kernel
+on particular rows:
 
-* functional-equivalence checking in the test-suite (exhaustive simulation);
-* random-pattern signatures for the DeepGate2-substitute embedding
-  (:mod:`repro.features.deepgate`);
-* the simulation benchmarks of :mod:`repro.perf`.
+* :func:`evaluate` runs one pattern (one-bit rows);
+* :func:`po_truth_tables` runs every pattern of up to
+  :data:`EXHAUSTIVE_MAX_PIS` inputs (the rows of
+  :func:`exhaustive_pi_rows`, input ``i``'s truth table);
+* SAT sweeping (:mod:`repro.aig.sweep`) builds its candidate classes from
+  exhaustive or :func:`random_pi_rows` rows and replays each counterexample
+  as one-bit rows;
+* the DeepGate2-substitute embedding (:mod:`repro.features.deepgate`)
+  popcounts random-pattern rows for its signal probabilities.
 
-Patterns are packed 64 per machine word using ``numpy.uint64`` arrays, so a
-single pass over the AIG evaluates 64 input vectors at once.  numpy is
-imported by the functions that take or return arrays, on their first call,
-so importing this module (or :mod:`repro.aig`) does not load it; SAT
-sweeping simulates on Python ints instead (:mod:`repro.aig.sweep`).
+:func:`simulate`, :func:`po_values` and :func:`exhaustive_pi_words` keep an
+array interface for callers that hold patterns as ``numpy.uint64`` words
+(64 patterns per word); they convert at the edge.  numpy is imported only by
+those three functions and by :func:`random_pi_rows`, on their first call, so
+importing this module, :func:`evaluate` and :func:`po_truth_tables` never
+load it.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
-from weakref import WeakKeyDictionary
 
 from repro.aig.aig import AIG, lit_is_complemented, lit_var
 from repro.errors import AigError
+from repro.logic.truthtable import tt_var
 
 if TYPE_CHECKING:
     import numpy as np
 
-#: Per-AIG cache of the flattened AND-node fanin arrays used by simulate().
-#: AIGs are append-only (a node's fanins never change once created), so a
-#: cached entry stays valid as long as the variable count is unchanged.
-_FANIN_CACHE: WeakKeyDictionary = WeakKeyDictionary()
+#: The most inputs whose every pattern is simulated (65 536 patterns).
+EXHAUSTIVE_MAX_PIS = 16
 
 
-def _fanin_arrays(aig: AIG) -> tuple[list[int], list[int], list[int],
-                                     list[int], list[int]]:
-    """Return (and_vars, fanin0, fanin1, comp0, comp1) as plain int lists.
+def simulate_rows(aig: AIG, pi_rows: list[int], full: int) -> list[int]:
+    """Simulate patterns held one per bit; return every variable's row.
 
-    Flattening the per-node ``fanins()`` tuples into parallel lists once per
-    AIG removes all attribute lookups and literal decoding from the
-    simulation inner loop.
+    ``pi_rows[i]`` holds PI ``i``'s value in each pattern and ``full`` has
+    a one for each pattern.  The constant node's row is 0.
     """
-    cached = _FANIN_CACHE.get(aig)
-    if cached is not None and cached[0] == aig.num_vars:
-        return cached[1]
-    and_vars: list[int] = []
-    fanin0: list[int] = []
-    fanin1: list[int] = []
-    comp0: list[int] = []
-    comp1: list[int] = []
-    for var in aig.and_vars():
-        lit0, lit1 = aig.fanins(var)
-        and_vars.append(var)
-        fanin0.append(lit0 >> 1)
-        fanin1.append(lit1 >> 1)
-        comp0.append(lit0 & 1)
-        comp1.append(lit1 & 1)
-    arrays = (and_vars, fanin0, fanin1, comp0, comp1)
-    _FANIN_CACHE[aig] = (aig.num_vars, arrays)
-    return arrays
+    values = [0] * aig.num_vars
+    for pi_var, row in zip(aig.pis, pi_rows):
+        values[pi_var] = row
+    flip = (0, full)
+    for var, fanins in enumerate(aig.fanin_array):
+        if fanins is not None:
+            lit0, lit1 = fanins
+            values[var] = ((values[lit0 >> 1] ^ flip[lit0 & 1])
+                           & (values[lit1 >> 1] ^ flip[lit1 & 1]))
+    return values
+
+
+def exhaustive_pi_rows(num_pis: int) -> list[int]:
+    """Return the rows enumerating all ``2**num_pis`` patterns.
+
+    Pattern ``m`` gives PI ``i`` bit ``i`` of ``m``, so input ``i``'s row is
+    its truth table :func:`repro.logic.truthtable.tt_var`.  Supported for up
+    to :data:`EXHAUSTIVE_MAX_PIS` inputs.
+    """
+    if num_pis > EXHAUSTIVE_MAX_PIS:
+        raise AigError(f"exhaustive simulation supports at most "
+                       f"{EXHAUSTIVE_MAX_PIS} primary inputs")
+    return [tt_var(index, num_pis) for index in range(num_pis)]
+
+
+def random_pi_rows(num_pis: int, num_patterns: int, seed: int) -> list[int]:
+    """Return seeded pseudo-random rows for ``num_pis`` inputs.
+
+    ``num_patterns`` is rounded up to a multiple of 64 (at least 64).  The
+    patterns are ``numpy.random.default_rng(seed)``'s 64-bit draws, one
+    ``(num_pis, num_words)`` array, word ``w`` holding patterns
+    ``64*w .. 64*w + 63``.
+    """
+    import numpy as np
+
+    num_words = max(1, (num_patterns + 63) // 64)
+    rng = np.random.default_rng(seed)
+    return _words_to_rows(rng.integers(0, 2 ** 64, size=(num_pis, num_words),
+                                       dtype=np.uint64))
+
+
+def _words_to_rows(words: np.ndarray) -> list[int]:
+    return [int.from_bytes(row.astype("<u8", copy=False).tobytes(), "little")
+            for row in words]
+
+
+def _rows_to_words(rows: list[int], num_words: int) -> np.ndarray:
+    import numpy as np
+
+    width = 8 * num_words
+    words = np.empty((len(rows), num_words), dtype=np.uint64)
+    for index, row in enumerate(rows):
+        words[index] = np.frombuffer(row.to_bytes(width, "little"), dtype="<u8")
+    return words
 
 
 def simulate(aig: AIG, pi_words: np.ndarray) -> np.ndarray:
@@ -77,25 +118,9 @@ def simulate(aig: AIG, pi_words: np.ndarray) -> np.ndarray:
             f"got {pi_words.shape}"
         )
     num_words = pi_words.shape[1]
-    values = np.zeros((aig.num_vars, num_words), dtype=np.uint64)
-    for row, pi_var in enumerate(aig.pis):
-        values[pi_var] = pi_words[row]
-    and_vars, fanin0, fanin1, comp0, comp1 = _fanin_arrays(aig)
-    # Scratch buffers for complemented edges keep the per-node work
-    # allocation-free: every numpy op below writes into preallocated memory.
-    scratch0 = np.empty(num_words, dtype=np.uint64)
-    scratch1 = np.empty(num_words, dtype=np.uint64)
-    for index, var in enumerate(and_vars):
-        word0 = values[fanin0[index]]
-        word1 = values[fanin1[index]]
-        if comp0[index]:
-            np.bitwise_not(word0, out=scratch0)
-            word0 = scratch0
-        if comp1[index]:
-            np.bitwise_not(word1, out=scratch1)
-            word1 = scratch1
-        np.bitwise_and(word0, word1, out=values[var])
-    return values
+    values = simulate_rows(aig, _words_to_rows(pi_words),
+                           (1 << (64 * num_words)) - 1)
+    return _rows_to_words(values, num_words)
 
 
 def po_values(aig: AIG, values: np.ndarray) -> np.ndarray:
@@ -110,50 +135,14 @@ def po_values(aig: AIG, values: np.ndarray) -> np.ndarray:
     return outputs
 
 
-def simulate_random(aig: AIG, num_patterns: int = 64,
-                    seed: int = 0) -> np.ndarray:
-    """Simulate ``aig`` on pseudo-random patterns; return the full value array.
-
-    ``num_patterns`` is rounded up to a multiple of 64.
-    """
-    import numpy as np
-
-    rng = np.random.default_rng(seed)
-    num_words = max(1, (num_patterns + 63) // 64)
-    pi_words = rng.integers(0, 2 ** 64, size=(aig.num_pis, num_words),
-                            dtype=np.uint64)
-    return simulate(aig, pi_words)
-
-
 def exhaustive_pi_words(num_pis: int) -> np.ndarray:
     """Return packed input words enumerating all ``2**num_pis`` patterns.
 
-    Supported for up to 16 PIs (65 536 patterns = 1 024 words).
+    Supported for up to 16 PIs (65 536 patterns = 1 024 words); fewer than
+    64 patterns are zero-padded to one word.
     """
-    if num_pis > 16:
-        raise AigError("exhaustive simulation supports at most 16 primary inputs")
-    import numpy as np
-
-    num_patterns = 1 << num_pis
-    num_words = max(1, num_patterns // 64)
-    total_bits = num_words * 64
-    # Pattern index of every bit position, broadcast against the PI axis:
-    # bits[pi, b] is the value of PI `pi` in pattern `b` (zero-padded when
-    # fewer than 64 patterns exist).
-    pattern_index = np.arange(total_bits, dtype=np.uint64)
-    pi_shift = np.arange(num_pis, dtype=np.uint64)[:, None]
-    bits = (pattern_index[None, :] >> pi_shift) & np.uint64(1)
-    if num_patterns < total_bits:
-        bits &= (pattern_index[None, :] < num_patterns).astype(np.uint64)
-    # Pack 64 consecutive pattern bits into each output word.
-    bit_shift = np.arange(64, dtype=np.uint64)[None, None, :]
-    packed = bits.reshape(num_pis, num_words, 64) << bit_shift
-    return np.bitwise_or.reduce(packed, axis=2)
-
-
-def simulate_exhaustive(aig: AIG) -> np.ndarray:
-    """Simulate every input pattern (requires at most 16 PIs)."""
-    return simulate(aig, exhaustive_pi_words(aig.num_pis))
+    rows = exhaustive_pi_rows(num_pis)
+    return _rows_to_words(rows, max(1, (1 << num_pis) // 64))
 
 
 def po_truth_tables(aig: AIG) -> list[int]:
@@ -162,17 +151,10 @@ def po_truth_tables(aig: AIG) -> list[int]:
     Bit ``i`` of the result corresponds to the input minterm ``i`` with PI 0
     as the least-significant bit.  Requires at most 16 PIs.
     """
-    values = simulate_exhaustive(aig)
-    outputs = po_values(aig, values)
-    num_patterns = 1 << aig.num_pis
-    tables = []
-    for row in outputs:
-        table = 0
-        for word_index, word in enumerate(row):
-            table |= int(word) << (64 * word_index)
-        mask = (1 << num_patterns) - 1
-        tables.append(table & mask)
-    return tables
+    pi_rows = exhaustive_pi_rows(aig.num_pis)
+    full = (1 << (1 << aig.num_pis)) - 1
+    values = simulate_rows(aig, pi_rows, full)
+    return [values[po >> 1] ^ (full if po & 1 else 0) for po in aig.pos]
 
 
 def evaluate(aig: AIG, assignment: dict[int, bool] | list[bool]) -> list[bool]:
@@ -182,23 +164,12 @@ def evaluate(aig: AIG, assignment: dict[int, bool] | list[bool]) -> list[bool]:
     PI variable index to Boolean value.  Returns one Boolean per PO.
     """
     if isinstance(assignment, dict):
-        ordered = [bool(assignment[pi]) for pi in aig.pis]
+        ordered = [assignment[pi] for pi in aig.pis]
     else:
         if len(assignment) != aig.num_pis:
             raise AigError(
                 f"assignment has {len(assignment)} values for {aig.num_pis} inputs"
             )
-        ordered = [bool(v) for v in assignment]
-    values = [False] * aig.num_vars
-    for row, pi_var in enumerate(aig.pis):
-        values[pi_var] = ordered[row]
-    for var in aig.and_vars():
-        lit0, lit1 = aig.fanins(var)
-        val0 = values[lit_var(lit0)] ^ lit_is_complemented(lit0)
-        val1 = values[lit_var(lit1)] ^ lit_is_complemented(lit1)
-        values[var] = val0 and val1
-    results = []
-    for po in aig.pos:
-        value = values[lit_var(po)] ^ lit_is_complemented(po)
-        results.append(bool(value))
-    return results
+        ordered = assignment
+    values = simulate_rows(aig, [1 if value else 0 for value in ordered], 1)
+    return [bool(values[po >> 1] ^ (po & 1)) for po in aig.pos]

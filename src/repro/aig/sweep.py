@@ -5,7 +5,8 @@ circuits — LEC miters above all — are full of nodes that compute the same
 function through different structures.  SAT sweeping collapses them with the
 classic three-phase loop of Mishchenko et al.'s FRAIGs:
 
-1. **Simulate**: bit-parallel random simulation assigns every node a
+1. **Simulate**: bit-parallel random simulation
+   (:func:`repro.aig.simulate.simulate_rows`) assigns every node a
    signature (its value vector over a few thousand patterns, one Python int
    with a bit per pattern).  Nodes whose signatures match up to
    complementation form *candidate equivalence classes*; almost all
@@ -57,8 +58,13 @@ import time
 from dataclasses import dataclass
 
 from repro.aig.aig import AIG, CONST0, lit_var
+from repro.aig.simulate import (
+    EXHAUSTIVE_MAX_PIS as _EXHAUSTIVE_MAX_PIS,
+    exhaustive_pi_rows,
+    random_pi_rows,
+    simulate_rows,
+)
 from repro.cnf.tseitin import tseitin_encode
-from repro.logic.truthtable import tt_var
 from repro.obs import get_tracer
 from repro.sat.configs import SolverConfig
 from repro.sat.solver import CdclSolver
@@ -66,9 +72,6 @@ from repro.sat.solver import CdclSolver
 logger = logging.getLogger(__name__)
 
 __all__ = ["SweepStats", "SweepResult", "sweep_aig", "fraig"]
-
-#: The most inputs whose every pattern phase 1 simulates.
-_EXHAUSTIVE_MAX_PIS = 16
 
 
 @dataclass
@@ -111,24 +114,6 @@ class SweepResult:
 
     aig: AIG
     stats: SweepStats
-
-
-def _simulate(aig: AIG, pi_rows: list[int], full: int) -> list[int]:
-    """Simulate patterns held one per bit; return every variable's row.
-
-    ``pi_rows[i]`` holds PI ``i``'s value in each pattern and ``full`` has
-    a one for each pattern.  The constant node's row is 0.
-    """
-    values = [0] * aig.num_vars
-    for pi_var, row in zip(aig.pis, pi_rows):
-        values[pi_var] = row
-    flip = (0, full)
-    for var, fanins in enumerate(aig.fanin_array):
-        if fanins is not None:
-            lit0, lit1 = fanins
-            values[var] = ((values[lit0 >> 1] ^ flip[lit0 & 1])
-                           & (values[lit1 >> 1] ^ flip[lit1 & 1]))
-    return values
 
 
 def sweep_aig(aig: AIG, num_patterns: int = 2048, seed: int = 1,
@@ -188,18 +173,13 @@ def _sweep(aig: AIG, num_patterns: int, seed: int, conflict_budget: int,
     exhaustive = (aig.num_pis <= _EXHAUSTIVE_MAX_PIS
                   and 1 << aig.num_pis <= num_words * 64)
     if exhaustive:
-        pi_rows = [tt_var(index, aig.num_pis) for index in range(aig.num_pis)]
+        pi_rows = exhaustive_pi_rows(aig.num_pis)
         stats.sim_patterns = 1 << aig.num_pis
     else:
-        import numpy as np  # only random patterns need it
-
-        rng = np.random.default_rng(seed)
-        pi_words = rng.integers(0, 2 ** 64, size=(aig.num_pis, num_words),
-                                dtype=np.uint64)
-        pi_rows = [int.from_bytes(row.tobytes(), "little") for row in pi_words]
+        pi_rows = random_pi_rows(aig.num_pis, num_patterns, seed)
         stats.sim_patterns = num_words * 64
     full = (1 << stats.sim_patterns) - 1
-    values = _simulate(aig, pi_rows, full)
+    values = simulate_rows(aig, pi_rows, full)
 
     # Normalise each signature so that pattern 0 evaluates to 0; ``phase``
     # records the complementation, so nodes equal up to inversion land in
@@ -372,7 +352,7 @@ def _prove_classes(aig: AIG, candidate_classes: list[list[int]],
             # SAT: a concrete input pattern distinguishes the pair.
             stats.refuted += 1
             model = result.model
-            counterexample = _simulate(
+            counterexample = simulate_rows(
                 aig, [int(model[var_map[pi]]) for pi in aig.pis], 1)
             survivors = [repr_var] + members[index:]
             break

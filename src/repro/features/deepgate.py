@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.aig.aig import AIG, lit_var
-from repro.aig.simulate import po_values, simulate_random
+from repro.aig.simulate import random_pi_rows, simulate_rows
 from repro.aig.stats import balance_ratio
 
 
@@ -68,22 +68,21 @@ class DeepGateEmbedder:
         if aig.num_pis == 0 or aig.num_ands == 0:
             return np.zeros(3 * num_bins + 8, dtype=np.float64)
 
-        values = simulate_random(aig, num_patterns=self.num_patterns, seed=self.seed)
-        outputs = po_values(aig, values)
-        total_bits = values.shape[1] * 64
+        total_bits = 64 * max(1, (self.num_patterns + 63) // 64)
+        full = (1 << total_bits) - 1
+        values = simulate_rows(
+            aig, random_pi_rows(aig.num_pis, self.num_patterns, self.seed), full)
 
         # Functional part: distribution of node signal probabilities.
-        ones = np.zeros(values.shape[0], dtype=np.float64)
-        for index in range(values.shape[0]):
-            ones[index] = sum(int(word).bit_count() for word in values[index])
-        probabilities = ones / total_bits
-        and_probabilities = probabilities[[var for var in aig.and_vars()]]
+        and_probabilities = np.array(
+            [values[var].bit_count() for var in aig.and_vars()],
+            dtype=np.float64) / total_bits
         prob_hist, _ = np.histogram(and_probabilities, bins=num_bins, range=(0.0, 1.0))
         prob_hist = prob_hist / max(1, and_probabilities.shape[0])
 
         # Output signal probabilities (the PO-centric part of DeepGate2).
-        po_ones = np.array([sum(int(word).bit_count() for word in row)
-                            for row in outputs], dtype=np.float64)
+        po_ones = np.array([(values[po >> 1] ^ (full if po & 1 else 0)).bit_count()
+                            for po in aig.pos], dtype=np.float64)
         po_probabilities = po_ones / total_bits
         po_hist, _ = np.histogram(po_probabilities, bins=num_bins, range=(0.0, 1.0))
         po_hist = po_hist / max(1, po_probabilities.shape[0])

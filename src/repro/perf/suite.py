@@ -30,7 +30,7 @@ from collections.abc import Callable
 from dataclasses import replace
 
 from repro.aig.aig import AIG
-from repro.aig.simulate import exhaustive_pi_words, simulate, simulate_random
+from repro.aig.simulate import exhaustive_pi_rows, random_pi_rows, simulate_rows
 from repro.aig.sweep import sweep_aig
 from repro.benchgen.lec import corner_case_miter, multiplier_commutativity_miter
 from repro.benchgen.random_logic import pigeonhole_cnf, random_aig, random_cnf
@@ -541,6 +541,7 @@ def default_suite(quick: bool = False) -> list[Benchmark]:
     aig_nodes = 300 if quick else 1200
     sim_words = 64 if quick else 512
     exhaustive_pis = 10 if quick else 14
+    exhaustive_words = (1 << exhaustive_pis) // 64  # 64 patterns a word
     query_rounds = 20 if quick else 200
     incremental_vars = 60 if quick else 100
     incremental_queries = 6 if quick else 24
@@ -765,8 +766,9 @@ def default_suite(quick: bool = False) -> list[Benchmark]:
                         f"({sim_words * 64} patterns) per node",
             setup=lambda: random_aig(12, aig_nodes, seed=7),
             run=lambda aig: {
-                "words": float(simulate_random(
-                    aig, num_patterns=64 * sim_words, seed=3).size),
+                "words": float(sim_words * len(simulate_rows(
+                    aig, random_pi_rows(aig.num_pis, 64 * sim_words, 3),
+                    (1 << (64 * sim_words)) - 1))),
             },
         ),
         Benchmark(
@@ -777,8 +779,9 @@ def default_suite(quick: bool = False) -> list[Benchmark]:
             setup=lambda: random_aig(exhaustive_pis, 300, seed=11),
             run=lambda aig: {
                 "patterns": float(1 << exhaustive_pis),
-                "values": float(simulate(
-                    aig, exhaustive_pi_words(exhaustive_pis)).size),
+                "values": float(exhaustive_words * len(simulate_rows(
+                    aig, exhaustive_pi_rows(exhaustive_pis),
+                    (1 << (1 << exhaustive_pis)) - 1))),
             },
         ),
         Benchmark(

@@ -3,9 +3,10 @@
 ``repro solve``, ``repro serve`` and the batch runner must not load numpy or
 the RL, feature, generator and evaluation packages: a short solve would pay
 for them in start-up time, and every forked server worker would inherit
-them.  The package root resolves its exports on first use (PEP 562), while
-``repro.synthesis`` and ``repro.aig`` stay eager because their exports
-shadow submodules of the same name.
+them.  Truth tables and single-pattern evaluation simulate on Python ints
+and load no numpy either.  The package root resolves its exports on first
+use (PEP 562), while ``repro.synthesis`` and ``repro.aig`` stay eager
+because their exports shadow submodules of the same name.
 """
 
 import inspect
@@ -52,6 +53,21 @@ def test_solve_serve_and_runner_paths_load_no_heavy_module():
     loaded, agent_module = json.loads(done.stdout)
     assert loaded == []
     assert agent_module == "repro.rl.agent"
+
+
+def test_truth_tables_and_evaluate_load_no_numpy():
+    done = _run_python("""
+        import json, sys
+        from repro.aig.aiger import read_aiger
+        from repro.aig.simulate import evaluate, po_truth_tables
+
+        aig = read_aiger(sys.stdin.read())
+        po_truth_tables(aig)
+        evaluate(aig, [True] * aig.num_pis)
+        print(json.dumps("numpy" in sys.modules))
+        """, stdin=write_aiger(random_aig(5, 40, seed=3)))
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) is False
 
 
 def test_star_import_binds_exactly_all():
