@@ -30,6 +30,18 @@ class TestRecordRoundTrip:
         record = run_to_record(run, "f" * 64, seed=123)
         assert record_to_run(json.loads(json.dumps(record))) == run
 
+    @pytest.mark.parametrize("output", [
+        {"dimacs": "p cnf 1 1\n1 0\n"},
+        None,  # a run the guard stopped
+    ])
+    def test_output_survives(self, output):
+        run = make_run()
+        run.output = output
+        record = run_to_record(run, "f" * 64, seed=123)
+        again = record_to_run(json.loads(json.dumps(record)))
+        assert again == run
+        assert again.output == output
+
     def test_canonical_record_excludes_timing(self):
         record = canonical_record(make_run())
         text = json.dumps(record)
