@@ -43,13 +43,14 @@ UNCACHED_STATUSES = ("ERROR",) + RESOURCE_STATUSES + ("CANCELLED",)
 class InstanceRun:
     """The outcome of running one pipeline on one instance.
 
-    The last three fields are what a fresh run hands back beyond its
-    record: the ``model`` of a SAT verdict (over the solved CNF's
-    variables), the ``error`` text of an ``ERROR`` run, and the ``output``
-    artefacts of a task :func:`repro.runner.batch.execute_task` ran to the
-    end: ``dimacs`` for a preprocess, ``aiger`` and sweep ``stats`` for a
-    sweep, nothing for a solve.  A run the guard stopped has no ``output``.
-    The result store does not keep them, so they take no part in equality.
+    The last three fields take no part in equality.  The ``model`` of a
+    SAT verdict (over the solved CNF's variables) and the ``error`` text
+    of an ``ERROR`` run come with a fresh run only.  The result store
+    keeps the ``output`` artefacts of a task that
+    :func:`repro.runner.batch.execute_task` ran to the end: ``dimacs`` for
+    a preprocess, ``aiger`` and sweep ``stats`` for a sweep, and for a
+    solve the JSON ``model`` of a CNF or a proof request, if any.  A run
+    the guard stopped has no ``output``.
     """
 
     instance_name: str

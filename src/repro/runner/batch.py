@@ -52,14 +52,14 @@ from repro.aig.aiger import write_aiger
 from repro.aig.sweep import sweep_aig
 from repro.cnf import write_dimacs
 from repro.core.pipeline import encode_aig, run_pipeline
-from repro.core.results import UNCACHED_STATUSES, InstanceRun
+from repro.core.results import InstanceRun
 from repro.errors import ReproError, ResourceLimitExceeded
 from repro.obs import Tracer, get_tracer, set_tracer
 from repro.resilience.chaos import get_chaos
 from repro.resilience.policy import Supervisor
 from repro.resilience.pool import CRASH_POLICY, WorkerPool
 from repro.resilience.watchdog import Watchdog, use_watchdog
-from repro.runner.store import ResultStore, put_with_retry, run_to_record
+from repro.runner.store import ResultStore, put_with_retry
 from repro.runner.task import Task, TaskError
 from repro.sat.configs import SolverConfig
 from repro.sat.stats import SolverStats
@@ -134,23 +134,23 @@ def execute_task(task: Task) -> InstanceRun:
                 disarm()
         except HardTimeout:
             disarm()
-            run = _aborted_run(task, "TIMEOUT", time.perf_counter() - start)
+            run = aborted_run(task, "TIMEOUT", time.perf_counter() - start)
         except ResourceLimitExceeded as trip:
             disarm()
-            run = _aborted_run(task, trip.status, time.perf_counter() - start)
+            run = aborted_run(task, trip.status, time.perf_counter() - start)
         except MemoryError:
             # The hard rlimit backstop tripped outside the solver loop
             # (the soft watchdog converts in-loop trips itself).
             disarm()
-            run = _aborted_run(task, "MEMOUT", time.perf_counter() - start)
+            run = aborted_run(task, "MEMOUT", time.perf_counter() - start)
         except Exception as error:
             disarm()
             logger.exception("task %s/%s failed", task.instance_name,
                              task.pipeline)
             text = str(error) if isinstance(error, ReproError) \
                 else f"{type(error).__name__}: {error}"
-            run = _aborted_run(task, "ERROR", time.perf_counter() - start,
-                               error=text)
+            run = aborted_run(task, "ERROR", time.perf_counter() - start,
+                              error=text)
         span.set(status=run.status)
     run.pipeline_name = task.group_name
     return run
@@ -169,7 +169,13 @@ def _run_task(task: Task, config: SolverConfig) -> InstanceRun:
             backend_kwargs=task.backend_kwargs,
             proof=task.proof,
         )
-        run.output = {}  # finished; a solve's artefacts are its record
+        # Finished: a solve's artefacts are its record, plus the model of
+        # a CNF solve or a proof request, keyed by variable as in JSON.
+        run.output = {}
+        if run.model is not None and (task.fmt == "cnf"
+                                      or task.proof is not None):
+            run.output["model"] = {str(var): bool(value)
+                                   for var, value in run.model.items()}
         return run
     if task.kind == "preprocess":
         cnf, transform_time = encode_aig(task.aig(), task.pipeline,
@@ -219,8 +225,8 @@ def _relabelled(run: InstanceRun, task: Task) -> InstanceRun:
                    pipeline_name=task.group_name)
 
 
-def _aborted_run(task: Task, status: str, elapsed: float,
-                 error: str | None = None) -> InstanceRun:
+def aborted_run(task: Task, status: str, elapsed: float,
+                error: str | None = None) -> InstanceRun:
     """A placeholder run for a task killed before producing a result."""
     return InstanceRun(
         instance_name=task.instance_name,
@@ -299,8 +305,8 @@ class BatchRunner:
                     # cached record has no proof file to offer, and the
                     # requested side effect (a DRAT file at *this* path)
                     # makes two otherwise-identical tasks distinct, so they
-                    # are not deduplicated either.  The synthetic key never
-                    # reaches the store (see _finish).
+                    # are not deduplicated either.  Nor are they stored
+                    # (see put_with_retry).
                     pending[f"{fingerprint}#proof{index}"] = (index, task)
                     continue
                 cached = self.store.get(fingerprint) \
@@ -431,7 +437,7 @@ class BatchRunner:
                                                    transient=True):
                             todo.append(fingerprint)
                             continue
-                        run = _aborted_run(queue[fingerprint], "ERROR", 0.0)
+                        run = aborted_run(queue[fingerprint], "ERROR", 0.0)
                     else:
                         if trace_dir is not None:
                             tracer.absorb(trace_path(fingerprint),
@@ -448,19 +454,12 @@ class BatchRunner:
                 run: InstanceRun) -> InstanceRun:
         """Persist one fresh result as soon as it exists.
 
-        ERROR runs are transient (worker crash, resource blip) and MEMOUT
-        runs limit-dependent, so both stay out of the store and a resume
-        retries them.  Proof-bearing tasks stay out too: serving their
-        fingerprint from the cache later would yield a verdict without the
-        proof file the requester asked for.  Store appends are themselves
-        retried; a result that ultimately cannot be persisted is returned
-        anyway — dropped from the cache, never from the batch — with the
-        failure counted on ``resilience.store_errors``.
+        :func:`repro.runner.store.put_with_retry` decides what is cached
+        and retries failed appends; a result that ultimately cannot be
+        persisted is returned anyway — dropped from the cache, never from
+        the batch — with the failure counted on
+        ``resilience.store_errors``.
         """
-        if self.store is None or run.status in UNCACHED_STATUSES \
-                or task.proof is not None:
-            return run
-        put_with_retry(self.store, fingerprint,
-                       run_to_record(run, fingerprint, seed=task.seed()),
+        put_with_retry(self.store, task, run,
                        get_tracer().metrics.counter("resilience.store_errors"))
         return run

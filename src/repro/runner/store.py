@@ -7,7 +7,8 @@ Each completed task appends one JSON line keyed by the task fingerprint, so
   detected and ignored);
 * re-running the same suite spec is a pure cache read that reproduces the
   original aggregate numbers exactly;
-* stores are append-only and human-greppable — one run, one line.
+* stores are append-only and human-greppable — one run, one line, in
+  the one layout the batch runner and the solve server both read.
 
 The store is hardened for concurrent writers and crashes:
 
@@ -23,9 +24,9 @@ The store is hardened for concurrent writers and crashes:
 * unusable fragments are quarantined to a ``.corrupt`` sidecar file next to
   the store instead of being silently forgotten, so data loss is visible
   and diagnosable after the fact;
-* :func:`put_with_retry` is the one append-retry ladder of the batch
-  runner and the solve server: a failed append is retried, and a record
-  that still cannot be written is dropped visibly, never raised.
+* :func:`put_with_retry` is the one persist rule of the batch runner and
+  the solve server: a failed append is retried, and a record that still
+  cannot be written is dropped visibly, never raised.
 """
 
 from __future__ import annotations
@@ -36,12 +37,12 @@ import os
 import time
 from pathlib import Path
 
-from repro.core.results import InstanceRun
+from repro.core.results import UNCACHED_STATUSES, InstanceRun
 from repro.errors import ReproError, TransientError
 from repro.obs import get_tracer
 from repro.obs.metrics import Counter
 from repro.resilience.chaos import get_chaos
-from repro.runner.task import SCHEMA_VERSION
+from repro.runner.task import SCHEMA_VERSION, Task
 from repro.sat.stats import SolverStats
 
 try:
@@ -83,21 +84,30 @@ def run_to_record(run: InstanceRun, fingerprint: str,
         "num_clauses": run.num_clauses,
         "seed": seed,
         "stats": run.stats.as_dict(),
+        "output": run.output,
     }
 
 
-def record_to_run(record: dict) -> InstanceRun:
-    """Reconstruct the :class:`InstanceRun` stored in ``record``."""
-    return InstanceRun(
-        instance_name=record["instance"],
-        pipeline_name=record["pipeline"],
-        status=record["status"],
-        transform_time=record["transform_time"],
-        solve_time=record["solve_time"],
-        stats=SolverStats(**record["stats"]),
-        num_vars=record["num_vars"],
-        num_clauses=record["num_clauses"],
-    )
+def record_to_run(record: dict | None) -> InstanceRun | None:
+    """The :class:`InstanceRun` stored in ``record``, output included.
+
+    ``None`` (a cache miss) for no record or one lacking a run field, as
+    the solve server's old ``{"server": 1, "result": ...}`` records do.
+    """
+    try:
+        return InstanceRun(
+            instance_name=record["instance"],
+            pipeline_name=record["pipeline"],
+            status=record["status"],
+            transform_time=record["transform_time"],
+            solve_time=record["solve_time"],
+            stats=SolverStats(**record["stats"]),
+            num_vars=record["num_vars"],
+            num_clauses=record["num_clauses"],
+            output=record["output"],
+        )
+    except (KeyError, TypeError):
+        return None
 
 
 def canonical_record(run: InstanceRun) -> dict:
@@ -223,8 +233,7 @@ class ResultStore:
 
     def get(self, fingerprint: str) -> InstanceRun | None:
         """Cache lookup: the stored run for ``fingerprint``, if any."""
-        record = self._records.get(fingerprint)
-        return record_to_run(record) if record is not None else None
+        return record_to_run(self._records.get(fingerprint))
 
     def put(self, fingerprint: str, run: InstanceRun,
             seed: int | None = None) -> dict:
@@ -276,7 +285,8 @@ class ResultStore:
 
     def runs(self) -> list[InstanceRun]:
         """All stored runs, in file order."""
-        return [record_to_run(record) for record in self._records.values()]
+        runs = map(record_to_run, self._records.values())
+        return [run for run in runs if run is not None]
 
 
 def open_store(path: str | Path, durable: bool = False) -> ResultStore:
@@ -304,15 +314,22 @@ def open_store(path: str | Path, durable: bool = False) -> ResultStore:
     return store
 
 
-def put_with_retry(store, fingerprint: str, record: dict,
+def put_with_retry(store, task: Task, run: InstanceRun,
                    errors: Counter) -> None:
-    """Append ``record`` to ``store``, retrying failed appends.
+    """Persist ``task``'s fresh ``run``, retrying failed appends.
 
-    Every failed attempt bumps ``errors`` and waits 10 ms times the attempt
-    number before the next one; after :data:`_STORE_ATTEMPTS` failures the
-    record is dropped with a ``store_give_up`` event and an error log.
-    ``store`` is anything with :meth:`ResultStore.put_record`.
+    No store, an :data:`~repro.core.results.UNCACHED_STATUSES` run or a
+    proof-bearing task (a cached verdict has no proof file) writes
+    nothing.  Every failed attempt bumps ``errors`` and waits 10 ms times
+    the attempt number before the next one; after :data:`_STORE_ATTEMPTS`
+    failures the record is dropped with a ``store_give_up`` event and an
+    error log.  ``store`` is anything with :meth:`ResultStore.put_record`.
     """
+    if store is None or run.status in UNCACHED_STATUSES \
+            or task.proof is not None:
+        return
+    fingerprint = task.fingerprint()
+    record = run_to_record(run, fingerprint, seed=task.seed())
     tracer = get_tracer()
     for attempt in range(1, _STORE_ATTEMPTS + 1):
         try:

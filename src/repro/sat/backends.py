@@ -218,21 +218,6 @@ class InternalBackend:
                      decisions=result.stats.decisions)
         return result
 
-    def incremental(self, cnf: Cnf,
-                    config: SolverConfig | None = None) -> "CdclSolver":
-        """Build a persistent :class:`repro.sat.solver.CdclSolver` session.
-
-        Only the internal backend supports true incrementality: the returned
-        solver keeps learned clauses, activities and phases across
-        ``solve(assumptions=...)`` calls and accepts ``add_clause`` /
-        ``new_var`` between them.  This is the substrate the SAT-sweeping
-        engine (:mod:`repro.aig.sweep`) runs its thousands of tiny
-        equivalence queries on.
-        """
-        from repro.sat.solver import CdclSolver
-
-        return CdclSolver(cnf, config=config)
-
     def __repr__(self) -> str:
         return "InternalBackend()"
 

@@ -3,7 +3,9 @@
 A submission's JSON body is validated at the admission edge by
 :func:`parse_job` (bad requests are rejected with HTTP 400 *before* they
 cost a worker) into the same :class:`~repro.runner.task.Task` the batch
-runner executes, and run in a worker process by :func:`execute_job`.
+runner executes, and run in a worker process by :func:`run_job`.
+:func:`job_result` projects the run, fresh or read back from the result
+store, into the response body; :func:`execute_job` does both in-process.
 
 Three kinds of work are served:
 
@@ -19,9 +21,10 @@ Three kinds of work are served:
 ``sweep``
     ASCII AIGER payload → SAT-swept AIGER text plus sweep counters.
 
-A job's key is :meth:`Task.fingerprint`, so the server's memo cache and
-the batch runner's JSONL cache speak the same key language, and each kind
-hashes only the fields it reads.  The fingerprint keys cross-request
+A job's key is :meth:`Task.fingerprint` and its record is the batch
+runner's (:func:`repro.runner.store.run_to_record`), so the server's memo
+and the runner's cache are one store, and each kind hashes only the
+fields it reads.  The fingerprint keys cross-request
 dedup/memoization and seeds the solver, so a job's verdict is independent
 of which worker ran it and when.
 
@@ -42,6 +45,7 @@ from pathlib import Path
 
 from repro.aig.aiger import read_aiger, write_aiger
 from repro.core.pipeline import PIPELINE_ALIASES, PIPELINES, canonical_pipeline
+from repro.core.results import InstanceRun
 from repro.errors import BackendError, ReproError
 from repro.runner.batch import execute_task
 from repro.runner.task import TASK_KINDS, Task
@@ -51,7 +55,9 @@ from repro.sat.configs import CONFIG_PRESETS
 __all__ = [
     "BadRequest",
     "execute_job",
+    "job_result",
     "parse_job",
+    "run_job",
     "sniff_format",
 ]
 
@@ -192,48 +198,58 @@ def parse_job(data: object) -> Task:
     )
 
 
-def execute_job(task: Task) -> dict:
-    """Worker entry point: run one task to its terminal response dict.
+def run_job(task: Task) -> InstanceRun:
+    """Worker entry point: run one task; its artefacts are in ``output``.
 
-    A proof request gets a temporary path whose proof (and the CNF it
-    refutes) are returned inline with an ``UNSAT`` verdict.  A job the
-    guard stopped answers with its status, elapsed time and any error
-    text only, except a plain circuit solve, which always answers with
-    the batch runner's record.
+    A proof request runs against a temporary path: the proof of an
+    ``UNSAT`` verdict and the CNF it refutes are read into ``output`` as
+    ``proof`` and ``proof_cnf`` before the path is removed.
     """
-    tmpdir = None
-    if task.proof is not None:
-        tmpdir = tempfile.mkdtemp(prefix="repro-server-")
-        task = replace(task, proof=os.path.join(tmpdir, "proof.drat"))
+    if task.proof is None:
+        return execute_task(task)
+    tmpdir = tempfile.mkdtemp(prefix="repro-server-")
     try:
-        run = execute_task(task)
-        record_only = task.kind == "solve" and task.fmt == "aig" \
-            and tmpdir is None
-        result = {"kind": task.kind, "status": run.status}
-        if run.output is None and not record_only:
-            result["solve_time"] = run.solve_time
-        elif task.kind == "solve":
-            result.update(
-                pipeline=task.pipeline if task.fmt == "aig" else None,
-                num_vars=run.num_vars, num_clauses=run.num_clauses,
-                transform_time=run.transform_time,
-                solve_time=run.solve_time, stats=run.stats.as_dict())
-            if run.model is not None and not record_only:
-                result["model"] = {str(var): bool(value)
-                                   for var, value in run.model.items()}
-            # The refuted CNF is written only beside a kept UNSAT proof.
-            if tmpdir is not None and os.path.exists(task.proof + ".cnf"):
-                result["proof"] = Path(task.proof).read_text(encoding="utf-8")
-                result["proof_cnf"] = Path(task.proof + ".cnf").read_text(
-                    encoding="utf-8")
-        elif task.kind == "preprocess":
-            result.update(pipeline=task.pipeline, num_vars=run.num_vars,
-                          num_clauses=run.num_clauses,
-                          transform_time=run.transform_time)
-        result.update(run.output or {})
-        if run.error:
-            result["error"] = run.error
-        return result
+        proof = os.path.join(tmpdir, "proof.drat")
+        run = execute_task(replace(task, proof=proof))
+        # The refuted CNF is written only beside a kept UNSAT proof.
+        if run.output is not None and os.path.exists(proof + ".cnf"):
+            run.output["proof"] = Path(proof).read_text(encoding="utf-8")
+            run.output["proof_cnf"] = Path(proof + ".cnf").read_text(
+                encoding="utf-8")
+        return run
     finally:
-        if tmpdir is not None:
-            shutil.rmtree(tmpdir, ignore_errors=True)
+        shutil.rmtree(tmpdir, ignore_errors=True)
+
+
+def job_result(task: Task, run: InstanceRun) -> dict:
+    """The response body of ``task``'s ``run``, fresh or from the store.
+
+    A job the guard stopped answers with its status, elapsed time and any
+    error text only, except a plain circuit solve, which always answers
+    with the batch runner's record.  A finished job answers with the
+    record fields of its kind and the run's ``output``.
+    """
+    record_only = task.kind == "solve" and task.fmt == "aig" \
+        and task.proof is None
+    result = {"kind": task.kind, "status": run.status}
+    if run.output is None and not record_only:
+        result["solve_time"] = run.solve_time
+    elif task.kind == "solve":
+        result.update(
+            pipeline=task.pipeline if task.fmt == "aig" else None,
+            num_vars=run.num_vars, num_clauses=run.num_clauses,
+            transform_time=run.transform_time,
+            solve_time=run.solve_time, stats=run.stats.as_dict())
+    elif task.kind == "preprocess":
+        result.update(pipeline=task.pipeline, num_vars=run.num_vars,
+                      num_clauses=run.num_clauses,
+                      transform_time=run.transform_time)
+    result.update(run.output or {})
+    if run.error:
+        result["error"] = run.error
+    return result
+
+
+def execute_job(task: Task) -> dict:
+    """Run one task in this process to its response body."""
+    return job_result(task, run_job(task))

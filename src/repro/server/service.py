@@ -9,9 +9,9 @@ loop.
 :class:`repro.resilience.pool.WorkerPool`, the one worker model of the
 batch runner and the portfolio too: each owns one duplex pipe and loops:
 receive a :class:`~repro.runner.task.Task`, run it through
-:func:`repro.server.jobs.execute_job`, send back the result dict.  A
-worker is either idle or owns exactly one job, so dispatch is a
-synchronous "start queued jobs while a worker is idle", run whenever a
+:func:`repro.server.jobs.run_job`, send back the run, which the event
+loop stores and answers with.  A worker is either idle or owns exactly
+one job, so dispatch is a synchronous "start queued jobs while a worker is idle", run whenever a
 job is queued or settles.  The event loop watches every pipe with
 ``loop.add_reader``: a job costs one pickle each way and no executor
 thread.  Workers are forked in :meth:`SolveService.start`, before any
@@ -27,11 +27,11 @@ Robustness properties, in the order a request meets them:
   dropped once the map grows past a fixed size, so client ids cannot
   grow it without bound.
 * **Dedup / memoization** — submissions are keyed by the job's
-  content-hash fingerprint: a result already in the attached store is
-  returned without costing a worker, and a duplicate of a job
-  currently queued or running attaches to that job instead of spawning a
-  second execution.  Proof-bearing jobs bypass both directions, matching
-  the batch runner's cache semantics.
+  content-hash fingerprint: a run already in the attached store (the
+  batch runner's, record for record) is answered like a fresh run
+  without costing a worker, and a duplicate of a job currently queued or
+  running attaches to that job instead of spawning a second execution.
+  Proof-bearing jobs bypass both directions, as in the batch runner.
 * **Crash isolation** — EOF or an error on a worker's pipe means that
   worker died (OOM kill, segfault, chaos), even mid-message.  The
   service reaps it, forks one replacement and retries only the victim's
@@ -65,16 +65,17 @@ from collections import OrderedDict, deque
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
-from repro.core.results import UNCACHED_STATUSES
+from repro.core.results import InstanceRun
 from repro.errors import ReproError
 from repro.obs import get_tracer
 from repro.obs.metrics import MetricsRegistry
 from repro.resilience.chaos import get_chaos
 from repro.resilience.policy import Supervisor
 from repro.resilience.pool import CRASH_POLICY, Worker, WorkerPool
-from repro.runner.store import put_with_retry
-from repro.runner.task import SCHEMA_VERSION, Task, default_hard_timeout
-from repro.server.jobs import execute_job
+from repro.runner.batch import aborted_run
+from repro.runner.store import put_with_retry, record_to_run
+from repro.runner.task import Task, default_hard_timeout
+from repro.server.jobs import job_result, run_job
 
 __all__ = [
     "AdmissionError",
@@ -85,23 +86,20 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-#: Version tag inside server store records (next to the task schema).
-SERVER_RECORD_VERSION = 1
-
 #: Terminal job states.
 TERMINAL_STATES = ("done", "cancelled")
 
 #: Client quota buckets kept before refilled ones are dropped.
 _MAX_BUCKETS = 1024
 
-def _run_job(task: Task) -> dict:
-    """A worker's answer to one task: its result dict, never an exception."""
+def _run_job(task: Task) -> InstanceRun:
+    """A worker's answer to one task: its run, never an exception."""
     try:
-        return execute_job(task)
+        return run_job(task)
     except Exception as error:  # noqa: BLE001 - answer, never die
         logger.exception("job %s failed in its worker", task.instance_name)
-        return {"kind": task.kind, "status": "ERROR",
-                "error": f"internal worker error: {error}"}
+        return aborted_run(task, "ERROR", 0.0,
+                           error=f"internal worker error: {error}")
 
 
 class AdmissionError(ReproError):
@@ -364,11 +362,12 @@ class SolveService:
         task = self._effective(task)
         fingerprint = task.fingerprint()
         if task.proof is None:
-            record = self._lookup(fingerprint)
-            if record is not None:
+            run = record_to_run(self.store.get_record(fingerprint)) \
+                if self.store is not None else None
+            if run is not None:
                 job = self._new_job(task, fingerprint, client)
                 job.cached = True
-                self._settle(job, "done", dict(record["result"]))
+                self._settle(job, "done", job_result(task, run))
                 self.metrics.counter("server.dedup_hits").inc()
                 return job, "cached"
             live = self._inflight.get(fingerprint)
@@ -421,16 +420,6 @@ class SolveService:
                 break  # never evict a live job
             del self._jobs[stale_id]
         return job
-
-    def _lookup(self, fingerprint: str) -> dict | None:
-        """A cacheable server record for ``fingerprint``, if stored."""
-        if self.store is None:
-            return None
-        record = self.store.get_record(fingerprint)
-        if (record is None or "result" not in record
-                or record.get("server") != SERVER_RECORD_VERSION):
-            return None
-        return record
 
     def get_job(self, job_id: str) -> Job | None:
         return self._jobs.get(job_id)
@@ -501,13 +490,13 @@ class SolveService:
     def _on_reply(self, worker: Worker) -> None:
         """``worker``'s pipe is readable: its job's result, or its death."""
         try:
-            result = worker.conn.recv()
+            run = worker.conn.recv()
         except (EOFError, OSError) as error:  # dead, even mid-message
             self._replace(worker, error)
             return
         job, worker.job = worker.job, None
         assert job is not None
-        self._finish_job(job, result)
+        self._finish_job(job, run)
 
     def _retry(self, worker: Worker, job: Job, error: BaseException) -> None:
         """Resend ``job`` on ``worker`` after a backoff, within budget.
@@ -522,8 +511,8 @@ class SolveService:
                                             transient=True, wait=False):
             logger.error("job %s exhausted retries: %s", job.id, error)
             worker.job = None
-            self._finish_job(job, {"kind": job.task.kind, "status": "ERROR",
-                                   "error": f"retries exhausted: {error}"})
+            self._finish_job(job, aborted_run(
+                job.task, "ERROR", 0.0, error=f"retries exhausted: {error}"))
             return
         worker.job = job  # held for the job while it backs off
         attempt = self.supervisor.attempts(job.fingerprint)
@@ -532,12 +521,14 @@ class SolveService:
             self.supervisor.policy.delay(attempt, job.fingerprint),
             self._send, worker)
 
-    def _finish_job(self, job: Job, result: dict) -> None:
+    def _finish_job(self, job: Job, run: InstanceRun) -> None:
+        """Store ``job``'s run (best effort), then answer with its body."""
         if job.terminal:
             return
         executed_at = self.clock()
-        self._persist(job, result)
-        self._settle(job, "done", result, executed_at)
+        put_with_retry(self.store, job.task, run,
+                       self.metrics.counter("server.store_errors"))
+        self._settle(job, "done", job_result(job.task, run), executed_at)
 
     def _settle(self, job: Job, state: str, result: dict,
                 executed_at: float | None = None) -> None:
@@ -582,17 +573,6 @@ class SolveService:
 
     def _observe_ms(self, name: str, seconds: float) -> None:
         self.metrics.histogram(name).observe(1000.0 * seconds)
-
-    def _persist(self, job: Job, result: dict) -> None:
-        """Best-effort memoization; a failing store never fails the job."""
-        if (self.store is None or job.task.proof is not None
-                or result.get("status") in UNCACHED_STATUSES):
-            return
-        record = {"schema": SCHEMA_VERSION, "task": job.fingerprint,
-                  "server": SERVER_RECORD_VERSION, "kind": job.task.kind,
-                  "result": result}
-        put_with_retry(self.store, job.fingerprint, record,
-                       self.metrics.counter("server.store_errors"))
 
     # ------------------------------------------------------------------ #
     # Introspection

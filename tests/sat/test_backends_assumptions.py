@@ -41,7 +41,7 @@ class TestInternalBackendAssumptions:
         assert result.is_sat and result.model[3]
 
     def test_incremental_session(self):
-        solver = InternalBackend().incremental(_chain_cnf())
+        solver = CdclSolver(_chain_cnf())
         assert isinstance(solver, CdclSolver)
         assert solver.solve(assumptions=[1]).is_sat
         solver.add_clause([-3])

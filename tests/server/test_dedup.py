@@ -142,7 +142,7 @@ def test_proof_requests_bypass_the_cache_in_both_directions(tmp_path):
     # Write bypass: the proof run must not have touched the memo record
     # (same fingerprint, and proof results are never persisted).
     record = store.get_record(fingerprint)
-    assert "proof" not in record["result"]
+    assert "proof" not in record["output"]
 
     async def second():
         service = SolveService(jobs=1, quota_burst=100,

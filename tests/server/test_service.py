@@ -197,8 +197,7 @@ class TestExecution:
 
         fingerprint = asyncio.run(main())
         # The memo survives the service: a fresh one hits the same store.
-        assert store.get_record(fingerprint)["result"]["status"] \
-            in ("SAT", "UNSAT")
+        assert store.get_record(fingerprint)["status"] in ("SAT", "UNSAT")
 
         async def second_life():
             service = SolveService(jobs=1, store=store, quota_burst=100)
