@@ -11,11 +11,11 @@ batch runner and the portfolio too: each owns one duplex pipe and loops:
 receive a :class:`~repro.runner.task.Task`, run it through
 :func:`repro.server.jobs.run_job`, send back the run, which the event
 loop stores and answers with.  A worker is either idle or owns exactly
-one job, so dispatch is a synchronous "start queued jobs while a worker is idle", run whenever a
-job is queued or settles.  The event loop watches every pipe with
-``loop.add_reader``: a job costs one pickle each way and no executor
-thread.  Workers are forked in :meth:`SolveService.start`, before any
-client socket exists.
+one job, so dispatch is a synchronous "start queued jobs while a worker
+is idle", run whenever a job is queued or settles.  The event loop
+watches every pipe with ``loop.add_reader``: a job costs one pickle each
+way and no executor thread.  Workers are forked in
+:meth:`SolveService.start`, before any client socket exists.
 
 Robustness properties, in the order a request meets them:
 
